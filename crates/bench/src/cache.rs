@@ -1,8 +1,9 @@
 //! Shared cache of built benchmark images.
 //!
 //! Every measurement builds (generates, maps, links) its application
-//! several times: once for calibration and once per feasibility /
-//! measurement attempt, each with a different ADC period. Cells of a
+//! several times: once for calibration (hardware-sync cells) and once
+//! per feasibility / measurement attempt, each with a different ADC
+//! period. Cells of a
 //! sweep grid repeat many of those builds — every pathological-fraction
 //! point of Fig. 7 starts from the identical calibration build, and the
 //! ablation grid shares its single-core baseline build with every other

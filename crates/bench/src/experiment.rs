@@ -4,19 +4,30 @@
 //! §V-A optimization ("the system clock frequency is reduced to the
 //! minimum in order to exploit the benefits of VFS"):
 //!
-//! 1. **Calibrate** — run a short slice of the workload at a generous
-//!    reference clock and record the worst per-core active cycles within
-//!    one sampling period (clock-independent).
-//! 2. **Select** — derive the minimum feasible clock (plus a guard
-//!    band, clamped to the 1 MHz platform floor) and pick the lowest
-//!    voltage whose interconnect-dependent `f_max` covers it.
+//! 1. **Calibrate** (hardware-sync cells only) — run a short slice of
+//!    the workload at a generous reference clock and seed the search
+//!    with the busiest core's average active cycles per sample
+//!    (clock-independent), plus a guard band, clamped to the 1 MHz
+//!    platform floor. Busy-wait cores spin between samples, so
+//!    their search starts from the platform's clock floor and no
+//!    calibration window is built or run.
+//! 2. **Search** — climb the clock in ×1.15 steps until the calibration
+//!    slice runs without ADC overruns, then pick the lowest voltage
+//!    whose interconnect-dependent `f_max` covers it.
 //! 3. **Measure** — re-run the full observation window with the sampling
-//!    period implied by the chosen clock, verify no ADC overruns, and
-//!    integrate the run into the Fig. 6 power decomposition.
+//!    period implied by the chosen clock, verify no ADC overruns (else
+//!    climb again), and integrate the run into the Fig. 6 power
+//!    decomposition.
+//!
+//! Only runs that can become the returned [`Measurement`] pay for the
+//! counting sink: every measurement attempt, and the search runs when
+//! the window fits inside the calibration slice (then the feasible
+//! search run *is* the measurement). Every search or measurement run
+//! stops at its first ADC overrun, because an overrunning run is always
+//! thrown away. None of this changes a clock, a µW figure or a digest.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 use wbsn_dsp::ecg::{synthesize, EcgConfig, EcgRecording};
 use wbsn_kernels::{
@@ -223,9 +234,21 @@ pub enum MeasureError {
         /// The clock that could not be met.
         required_hz: f64,
     },
-    /// Real-time violations persisted after retries.
+    /// The feasibility search climbed all its steps and the calibration
+    /// slice still overran at every clock.
+    NoFeasibleClock {
+        /// The clock of the last search step, in Hz.
+        clock_hz: f64,
+        /// Overruns the last step had counted when it stopped.
+        overruns: u64,
+    },
+    /// Real-time violations persisted over the measurement window after
+    /// the retries (or, for a pinned clock, at that clock).
     Overruns {
-        /// Overruns observed in the last attempt.
+        /// The clock of the last attempt, in Hz.
+        clock_hz: f64,
+        /// Overruns the last attempt had counted when it stopped (a run
+        /// stops at its first overrun).
         overruns: u64,
     },
 }
@@ -238,9 +261,16 @@ impl fmt::Display for MeasureError {
             MeasureError::Infeasible { required_hz } => {
                 write!(f, "no operating point reaches {required_hz:.0} Hz")
             }
-            MeasureError::Overruns { overruns } => {
-                write!(f, "{overruns} ADC overruns at the selected clock")
-            }
+            MeasureError::NoFeasibleClock { clock_hz, overruns } => write!(
+                f,
+                "no feasible clock: the calibration slice still overran at \
+                 {clock_hz:.0} Hz ({overruns} ADC overruns before the run stopped)"
+            ),
+            MeasureError::Overruns { clock_hz, overruns } => write!(
+                f,
+                "the measurement window overran at {clock_hz:.0} Hz \
+                 ({overruns} ADC overruns before the run stopped)"
+            ),
         }
     }
 }
@@ -275,6 +305,28 @@ fn barrier_style(config: &ExperimentConfig) -> wbsn_kernels::app::BarrierStyle {
     }
 }
 
+/// The image options of `variant` under `config` at one ADC sampling
+/// period — the only knob that differs between a cell's runs.
+fn build_options(
+    variant: RunVariant,
+    config: &ExperimentConfig,
+    adc_period_cycles: u64,
+) -> BuildOptions {
+    BuildOptions {
+        approach: variant.approach(),
+        broadcast: !config.disable_broadcast,
+        lockstep: !config.disable_lockstep,
+        barrier: barrier_style(config),
+        schedule: config.schedule,
+        adc_period_cycles,
+    }
+}
+
+/// The ADC sampling period, in cycles, at `clock_hz`.
+fn period_at(config: &ExperimentConfig, clock_hz: f64) -> u64 {
+    (clock_hz / config.fs as f64).round() as u64
+}
+
 fn recording(config: &ExperimentConfig, seconds: f64) -> EcgRecording {
     synthesize(&EcgConfig {
         fs: config.fs,
@@ -300,23 +352,56 @@ pub(crate) fn build_app(
     }
 }
 
+/// Why a window is simulated, which decides what the run pays for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Purpose {
+    /// Seeds the clock search from its active cycles: the whole slice
+    /// runs, uninstrumented, whatever its overruns.
+    Calibrate,
+    /// A search step whose platform is dropped: uninstrumented, and it
+    /// stops at its first overrun.
+    Search,
+    /// A run that can become the returned [`Measurement`]: the counting
+    /// sink rides along, and it stops at its first overrun.
+    Measure,
+}
+
 fn run_window(
     app: &BuiltApp,
     leads: Vec<Vec<i16>>,
     period: u64,
     forwarding: bool,
+    purpose: Purpose,
 ) -> Result<Platform, SimError> {
     let samples = leads[0].len() as u64;
-    let total = app.config.adc.start_cycle + samples * period;
+    let start = app.config.adc.start_cycle;
+    let total = start + samples * period;
     let mut platform = app.platform(leads)?;
     // Forwarding is a platform property, not a build property: setting
     // it here keeps the build-cache keys clean (the image is identical
     // with and without the bypass).
     platform.set_forwarding(forwarding);
-    // The counting sink is cheap enough to leave on for every cell; its
-    // histograms become the per-cell latency digest of the sweep record.
-    platform.enable_obs(ObsConfig::counting_only());
-    platform.run(total)?;
+    // The counting sink's histograms become the per-cell latency digest
+    // of the sweep record; runs that can never be returned skip its cost.
+    if purpose == Purpose::Measure {
+        platform.enable_obs(ObsConfig::counting_only());
+    }
+    // Advance sample by sample on the fixed grid `start + k·period`, so
+    // a run that overruns (and will be thrown away) stops early. Each
+    // target follows from the previous one, not from `stats.cycles`:
+    // `run` returns without advancing when every core is idle and the
+    // next ADC tick lies past the target.
+    let mut target = start;
+    loop {
+        platform.run(target)?;
+        if purpose != Purpose::Calibrate && platform.adc_overruns() > 0 {
+            return Ok(platform);
+        }
+        if target >= total {
+            break;
+        }
+        target += period;
+    }
     platform.idle_until(total);
     platform.finish_obs();
     Ok(platform)
@@ -329,6 +414,41 @@ fn obs_summary(platform: &Platform) -> Option<ObsSummary> {
         .recorder()
         .and_then(|r| r.counting())
         .map(|c| c.summary())
+}
+
+/// Integrates an overrun-free measurement run at `clock_hz` into the
+/// returned [`Measurement`].
+fn assemble(
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    app: &BuiltApp,
+    platform: &Platform,
+    op: OperatingPoint,
+    clock_hz: f64,
+) -> Measurement {
+    let stats = platform.stats().clone();
+    let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
+    let breakdown =
+        PowerModel::default().average_power(&stats, &app.config, activity, op, clock_hz);
+    Measurement {
+        benchmark,
+        variant,
+        active_cores: app.active_cores,
+        active_im_banks: app.active_im_banks(),
+        active_dm_banks: activity.dm_banks_powered,
+        im_broadcast_percent: stats.im.broadcast_percent(),
+        dm_broadcast_percent: stats.dm.broadcast_percent(),
+        clock_hz,
+        voltage: op.voltage,
+        code_overhead_percent: app.code_overhead_percent(),
+        runtime_overhead_percent: stats.runtime_overhead_percent(),
+        breakdown,
+        stats,
+        obs: obs_summary(platform),
+        activity,
+        op,
+        platform_config: app.config.clone(),
+    }
 }
 
 /// Measures one `(benchmark, variant)` configuration.
@@ -363,36 +483,45 @@ pub fn measure_cached(
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
-    let model = PowerModel::default();
-    let interconnect = variant.interconnect();
+    let build = |period| {
+        cache.get_or_build(
+            benchmark,
+            variant.arch(),
+            &build_options(variant, config, period),
+            params,
+        )
+    };
+    let calib = recording(config, config.calibration_s.min(config.duration_s));
+    let full = recording(config, config.duration_s);
+    // When the observation window fits inside the calibration slice the
+    // recordings are identical, so the successful feasibility run IS the
+    // measurement run (the simulator is deterministic): it counts, and
+    // it is returned instead of stepping the same window twice.
+    let reuse = calib.leads == full.leads;
 
     // 1. Seed the search with the average per-sample demand (measured at
     // a generous reference clock where real time trivially holds).
-    let calib_period = 20_000u64;
-    let options = BuildOptions {
-        approach: variant.approach(),
-        broadcast: !config.disable_broadcast,
-        lockstep: !config.disable_lockstep,
-        barrier: barrier_style(config),
-        schedule: config.schedule,
-        adc_period_cycles: calib_period,
-    };
-    let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
-    let calib = recording(config, config.calibration_s.min(config.duration_s));
-    let platform = run_window(&app, calib.leads.clone(), calib_period, config.forwarding)?;
-    let stats = platform.stats();
-    let samples = stats.adc_samples.max(1) as f64;
-    let avg_window = stats
-        .cores
-        .iter()
-        .map(|c| c.active_cycles as f64 / samples)
-        .fold(0.0f64, f64::max);
     // Busy-wait cores spin between samples, so their active cycles say
-    // nothing about the clock requirement; start those searches from the
-    // platform's clock floor.
+    // nothing about the clock requirement; those searches start from the
+    // platform's clock floor without a calibration run.
     let mut required_hz = if variant.approach() == SyncApproach::BusyWait {
         vfs.min_clock_hz
     } else {
+        let calib_period = 20_000u64;
+        let platform = run_window(
+            &*build(calib_period)?,
+            calib.leads.clone(),
+            calib_period,
+            config.forwarding,
+            Purpose::Calibrate,
+        )?;
+        let stats = platform.stats();
+        let samples = stats.adc_samples.max(1) as f64;
+        let avg_window = stats
+            .cores
+            .iter()
+            .map(|c| c.active_cycles as f64 / samples)
+            .fold(0.0f64, f64::max);
         vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + config.guard))
     };
 
@@ -401,86 +530,74 @@ pub fn measure_cached(
     // real-time constraints" criterion (work may pipeline across
     // sampling periods thanks to the data registers and buffering, so
     // worst-window heuristics alone are too conservative).
-    let mut feasible_run: Option<(u64, Arc<BuiltApp>, Platform)> = None;
-    for _ in 0..24 {
-        let period = (required_hz / config.fs as f64).round() as u64;
-        let options = BuildOptions {
-            approach: variant.approach(),
-            broadcast: !config.disable_broadcast,
-            lockstep: !config.disable_lockstep,
-            barrier: barrier_style(config),
-            schedule: config.schedule,
-            adc_period_cycles: period,
-        };
-        let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
-        let platform = run_window(&app, calib.leads.clone(), period, config.forwarding)?;
-        if platform.adc_overruns() == 0 {
-            feasible_run = Some((period, app, platform));
+    let search = if reuse {
+        Purpose::Measure
+    } else {
+        Purpose::Search
+    };
+    let mut feasible_run = None;
+    let mut overruns = 0;
+    for step in 0..24 {
+        if step > 0 {
+            required_hz *= 1.15;
+        }
+        let period = period_at(config, required_hz);
+        let app = build(period)?;
+        let platform = run_window(&app, calib.leads.clone(), period, config.forwarding, search)?;
+        overruns = platform.adc_overruns();
+        if overruns == 0 {
+            feasible_run = Some((app, platform));
             break;
         }
-        required_hz *= 1.15;
     }
+    let Some(feasible_run) = feasible_run else {
+        return Err(MeasureError::NoFeasibleClock {
+            clock_hz: required_hz,
+            overruns,
+        });
+    };
 
     // 3. Measurement runs; bump the clock on residual overruns (the
     // calibration slice may have missed the worst window).
-    let full = recording(config, config.duration_s);
-    // When the observation window fits inside the calibration slice the
-    // recordings are identical, so the successful feasibility run IS the
-    // measurement run (the simulator is deterministic): reuse it instead
-    // of stepping the same window twice.
-    let mut cached = match feasible_run {
-        Some(run) if calib.leads == full.leads => Some(run),
-        _ => None,
-    };
-    for _attempt in 0..6 {
-        let op: OperatingPoint = vfs
-            .min_point_for(required_hz, interconnect)
+    let mut kept = reuse.then_some(feasible_run);
+    for attempt in 0..6 {
+        if attempt > 0 {
+            required_hz *= 1.15;
+        }
+        let op = vfs
+            .min_point_for(required_hz, variant.interconnect())
             .ok_or(MeasureError::Infeasible { required_hz })?;
-        let period = (required_hz / config.fs as f64).round() as u64;
-        let (app, platform) = match cached.take() {
-            Some((p, app, platform)) if p == period => (app, platform),
-            _ => {
-                let options = BuildOptions {
-                    approach: variant.approach(),
-                    broadcast: !config.disable_broadcast,
-                    lockstep: !config.disable_lockstep,
-                    barrier: barrier_style(config),
-                    schedule: config.schedule,
-                    adc_period_cycles: period,
-                };
-                let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
-                let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
+        let (app, platform) = match kept.take() {
+            Some(run) => run,
+            None => {
+                let period = period_at(config, required_hz);
+                let app = build(period)?;
+                let platform = run_window(
+                    &app,
+                    full.leads.clone(),
+                    period,
+                    config.forwarding,
+                    Purpose::Measure,
+                )?;
                 (app, platform)
             }
         };
-        if platform.adc_overruns() > 0 {
-            required_hz *= 1.15;
-            continue;
+        overruns = platform.adc_overruns();
+        if overruns == 0 {
+            return Ok(assemble(
+                benchmark,
+                variant,
+                &app,
+                &platform,
+                op,
+                required_hz,
+            ));
         }
-        let stats = platform.stats().clone();
-        let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
-        let breakdown = model.average_power(&stats, &app.config, activity, op, required_hz);
-        return Ok(Measurement {
-            benchmark,
-            variant,
-            active_cores: app.active_cores,
-            active_im_banks: app.active_im_banks(),
-            active_dm_banks: activity.dm_banks_powered,
-            im_broadcast_percent: stats.im.broadcast_percent(),
-            dm_broadcast_percent: stats.dm.broadcast_percent(),
-            clock_hz: required_hz,
-            voltage: op.voltage,
-            code_overhead_percent: app.code_overhead_percent(),
-            runtime_overhead_percent: stats.runtime_overhead_percent(),
-            breakdown,
-            stats,
-            obs: obs_summary(&platform),
-            activity,
-            op,
-            platform_config: app.config.clone(),
-        });
     }
-    Err(MeasureError::Overruns { overruns: u64::MAX })
+    Err(MeasureError::Overruns {
+        clock_hz: required_hz,
+        overruns,
+    })
 }
 
 /// Measures a multi-core configuration pinned to a given clock (the
@@ -520,52 +637,26 @@ pub fn measure_at_clock_cached(
     clock_hz: f64,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
-    let vfs = VfsTable::ninety_nm_low_leakage();
-    let model = PowerModel::default();
-    let op =
-        vfs.min_point_for(clock_hz, variant.interconnect())
-            .ok_or(MeasureError::Infeasible {
-                required_hz: clock_hz,
-            })?;
-    let period = (clock_hz / config.fs as f64).round() as u64;
-    let options = BuildOptions {
-        approach: variant.approach(),
-        broadcast: !config.disable_broadcast,
-        lockstep: !config.disable_lockstep,
-        barrier: barrier_style(config),
-        schedule: config.schedule,
-        adc_period_cycles: period,
-    };
+    let op = VfsTable::ninety_nm_low_leakage()
+        .min_point_for(clock_hz, variant.interconnect())
+        .ok_or(MeasureError::Infeasible {
+            required_hz: clock_hz,
+        })?;
+    let period = period_at(config, clock_hz);
+    let options = build_options(variant, config, period);
     let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
     let full = recording(config, config.duration_s);
-    let platform = run_window(&app, full.leads.clone(), period, config.forwarding)?;
-    if platform.adc_overruns() > 0 {
-        return Err(MeasureError::Overruns {
-            overruns: platform.adc_overruns(),
-        });
+    let platform = run_window(
+        &app,
+        full.leads,
+        period,
+        config.forwarding,
+        Purpose::Measure,
+    )?;
+    match platform.adc_overruns() {
+        0 => Ok(assemble(benchmark, variant, &app, &platform, op, clock_hz)),
+        overruns => Err(MeasureError::Overruns { clock_hz, overruns }),
     }
-    let stats = platform.stats().clone();
-    let activity = Activity::derive(&stats, &app.config, app.active_im_banks());
-    let breakdown = model.average_power(&stats, &app.config, activity, op, clock_hz);
-    Ok(Measurement {
-        benchmark,
-        variant,
-        active_cores: app.active_cores,
-        active_im_banks: app.active_im_banks(),
-        active_dm_banks: activity.dm_banks_powered,
-        im_broadcast_percent: stats.im.broadcast_percent(),
-        dm_broadcast_percent: stats.dm.broadcast_percent(),
-        clock_hz,
-        voltage: op.voltage,
-        code_overhead_percent: app.code_overhead_percent(),
-        runtime_overhead_percent: stats.runtime_overhead_percent(),
-        breakdown,
-        stats,
-        obs: obs_summary(&platform),
-        activity,
-        op,
-        platform_config: app.config.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -614,5 +705,113 @@ mod tests {
             obs.sync_gap_p99_cycles >= obs.sync_gap_p50_cycles,
             "{obs:?}"
         );
+    }
+
+    /// The reference the sample-by-sample loop must reproduce: the whole
+    /// window in one `Platform::run`, then the idle tail.
+    fn one_shot(app: &BuiltApp, leads: Vec<Vec<i16>>, period: u64) -> Platform {
+        let total = app.config.adc.start_cycle + leads[0].len() as u64 * period;
+        let mut platform = app.platform(leads).unwrap();
+        platform.enable_obs(ObsConfig::counting_only());
+        platform.run(total).unwrap();
+        platform.idle_until(total);
+        platform.finish_obs();
+        platform
+    }
+
+    #[test]
+    fn sample_by_sample_runs_match_one_shot_runs_and_stop_at_the_first_overrun() {
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            duration_s: 0.5,
+            ..ExperimentConfig::default()
+        };
+        let leads = recording(&config, config.duration_s).leads;
+        let variants = [
+            RunVariant::SingleCore,
+            RunVariant::MultiCoreSync,
+            RunVariant::MultiCoreBusyWait,
+        ];
+        for benchmark in BenchmarkId::ALL {
+            for variant in variants {
+                let build = |period| {
+                    build_app(
+                        benchmark,
+                        variant.arch(),
+                        &build_options(variant, &config, period),
+                        &params,
+                    )
+                    .unwrap()
+                };
+                // 4 MHz: real time holds everywhere.
+                let (period, app) = (8_000, build(8_000));
+                let chunked =
+                    run_window(&app, leads.clone(), period, false, Purpose::Measure).unwrap();
+                let reference = one_shot(&app, leads.clone(), period);
+                let cell = format!("{} {}", benchmark.name(), variant.label());
+                assert_eq!(chunked.adc_overruns(), 0, "{cell}");
+                assert_eq!(chunked.stats(), reference.stats(), "{cell}");
+                assert!(obs_summary(&chunked).is_some(), "{cell}");
+                assert_eq!(obs_summary(&chunked), obs_summary(&reference), "{cell}");
+
+                // 50 kHz: every benchmark overruns within a few samples.
+                let (period, app) = (100, build(100));
+                let total = app.config.adc.start_cycle + leads[0].len() as u64 * period;
+                let stopped =
+                    run_window(&app, leads.clone(), period, false, Purpose::Search).unwrap();
+                assert!(stopped.adc_overruns() > 0, "{cell}");
+                assert!(stopped.stats().cycles < total, "{cell}");
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_report_the_last_clock_and_its_overruns() {
+        // A 1 s slice misses RP-CLASS's triggered-delineation bursts: the
+        // search settles too low and six ×1.15 retries cannot catch up.
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            duration_s: 3.0,
+            calibration_s: 1.0,
+            ..ExperimentConfig::default()
+        };
+        match measure(
+            BenchmarkId::RpClass,
+            RunVariant::SingleCore,
+            &config,
+            &params,
+        ) {
+            Err(MeasureError::Overruns { clock_hz, overruns }) => {
+                assert!(clock_hz.is_finite() && clock_hz > 1.0e6, "{clock_hz}");
+                assert!(overruns > 0 && overruns < u64::MAX, "{overruns}");
+            }
+            other => panic!("expected Overruns, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_search_that_never_meets_real_time_fails_explicitly() {
+        // At 50 kHz sampling no clock of the 24-step ladder keeps up.
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            fs: 50_000,
+            duration_s: 0.1,
+            calibration_s: 0.05,
+            ..ExperimentConfig::default()
+        };
+        match measure(
+            BenchmarkId::Mf,
+            RunVariant::MultiCoreBusyWait,
+            &config,
+            &params,
+        ) {
+            Err(MeasureError::NoFeasibleClock { clock_hz, overruns }) => {
+                let floor = VfsTable::ninety_nm_low_leakage().min_clock_hz;
+                let top = (1..24).fold(floor, |hz, _| hz * 1.15);
+                assert_eq!(clock_hz, top);
+                assert!(overruns > 0 && overruns < u64::MAX, "{overruns}");
+            }
+            other => panic!("expected NoFeasibleClock, got {other:?}"),
+        }
     }
 }

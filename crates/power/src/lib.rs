@@ -11,8 +11,6 @@
 //! * [`vfs`] — voltage-frequency scaling: the discrete operating points
 //!   and the maximum clock attainable with crossbar vs decoder
 //!   interconnect at each voltage.
-//! * [`select`] — minimum-frequency/voltage selection under the
-//!   application's real-time constraint.
 //! * [`model`] + [`breakdown`] — integrating a run's
 //!   [`wbsn_sim::SimStats`] into the Fig. 6 power decomposition.
 //!
@@ -29,11 +27,9 @@
 pub mod breakdown;
 pub mod characterization;
 pub mod model;
-pub mod select;
 pub mod vfs;
 
 pub use breakdown::PowerBreakdown;
 pub use characterization::EnergyTable;
 pub use model::{Activity, PowerModel};
-pub use select::{required_frequency, FrequencyRequirement};
 pub use vfs::{Interconnect, OperatingPoint, VfsTable};
