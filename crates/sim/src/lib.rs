@@ -50,7 +50,6 @@ pub mod error;
 pub mod exec;
 pub mod memory;
 pub mod mmio;
-pub mod obs;
 pub mod platform;
 pub mod stats;
 pub mod trace;
@@ -60,10 +59,8 @@ pub mod xbar;
 pub use adc::AdcConfig;
 pub use config::{InterconnectKind, PlatformConfig};
 pub use error::{ConfigError, Fault, FaultKind, SimError};
-pub use obs::{Obs, StallCause};
-#[cfg(feature = "obs")]
-pub use obs::{ObsConfig, ObsSummary};
 pub use platform::{Platform, RunExit};
 pub use stats::{stats_json, BankStats, CoreStats, SimStats};
 pub use trace::{StallRecord, TraceEntry, TraceEvent, Tracer};
 pub use watchdog::{CoreDump, PhaseAttribution, PointDump, PostMortem, WatchdogTrip};
+pub use wbsn_obs::{Obs, ObsConfig, ObsSummary, StallCause};

@@ -3,17 +3,15 @@
 
 use wbsn_core::{CoreId, Synchronizer};
 use wbsn_isa::{DecodedImage, DecodedInstr, Instr, LinkedImage, MemClass, IM_WORDS};
+use wbsn_obs::{Obs, ObsConfig, StallCause};
 
 use crate::adc::Adc;
-use crate::atu::{Atu, DmTarget};
+use crate::atu::{Atu, DmLocation, DmTarget};
 use crate::config::{InterconnectKind, PlatformConfig};
 use crate::cpu::{Core, MemIntent, Retire};
 use crate::error::{Fault, FaultKind, SimError};
 use crate::memory::{DataMemory, InstrMemory};
 use crate::mmio::MmioReg;
-#[cfg(feature = "obs")]
-use crate::obs::ObsConfig;
-use crate::obs::{Obs, StallCause};
 use crate::stats::SimStats;
 use crate::trace::{StallRecord, TraceEvent, Tracer};
 use crate::watchdog::{CoreDump, PhaseAttribution, PointDump, PostMortem, WatchdogTrip};
@@ -59,12 +57,40 @@ struct Slot {
     present: bool,
 }
 
-/// What a held instruction resolved to this cycle.
+/// The word a ready instruction retires with: its loaded value, or
+/// `None` for stores and instructions without a memory operand.
+type Load = Option<u16>;
+
+/// What a slot does with the rest of a cycle once it is accounted.
 #[derive(Debug, Clone, Copy)]
-enum Ready {
-    NoMem,
-    Load(u16),
-    Store,
+enum Issue {
+    /// Absent, halted, gated or in a taken-branch bubble.
+    Idle,
+    /// Fetches its next instruction from this address.
+    Fetch(u32),
+    /// Still holds an instruction from an earlier cycle.
+    Held,
+}
+
+/// A banked data-memory access waiting for its grant.
+#[derive(Debug, Clone, Copy)]
+struct DmAccess {
+    core: usize,
+    location: DmLocation,
+    /// The core-visible address (watchpoints match on it).
+    addr: u32,
+    store: Option<u16>,
+}
+
+/// Where the held instruction stands after its hazard check.
+#[derive(Debug, Clone, Copy)]
+enum Resolved {
+    /// Interlocked by a load-use hazard this cycle.
+    Hazard,
+    /// Retires without a banked data-memory access.
+    Ready(Load),
+    /// Needs a data-memory grant first.
+    Dm(DmAccess),
 }
 
 /// Per-cycle work buffers, reused across [`Platform::step`] calls so the
@@ -73,9 +99,9 @@ enum Ready {
 struct StepScratch {
     fetch_reqs: Vec<Request>,
     fetch_grants: Vec<Grant>,
-    ready: Vec<(usize, Ready)>,
+    ready: Vec<(usize, Load)>,
     dm_reqs: Vec<Request>,
-    dm_meta: Vec<(usize, DmTarget, Option<u16>)>,
+    dm_meta: Vec<DmAccess>,
     dm_grants: Vec<Grant>,
 }
 
@@ -101,7 +127,7 @@ pub struct Platform {
     stats: SimStats,
     tracer: Option<Tracer>,
     /// Observability recorder; a disabled handle is a `None` check per
-    /// hook (and a no-op stub without the `obs` feature).
+    /// hook.
     obs: Obs,
     breakpoints: Vec<u32>,
     watchpoints: Vec<u32>,
@@ -297,14 +323,12 @@ impl Platform {
     ///
     /// Call [`Platform::finish_obs`] after the last cycle to flush open
     /// stall runs and gated intervals before reading results.
-    #[cfg(feature = "obs")]
     pub fn enable_obs(&mut self, config: ObsConfig) {
         self.obs.enable(self.config.cores, config);
     }
 
     /// The observability handle (disabled unless
-    /// [`Platform::enable_obs`] was called; always inert without the
-    /// `obs` feature).
+    /// [`Platform::enable_obs`] was called).
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -421,7 +445,6 @@ impl Platform {
     /// The observability half of a post-mortem: the rendered tail of the
     /// event ring and the per-(core, phase) attribution, when a recorder
     /// with those sinks is attached.
-    #[cfg(feature = "obs")]
     fn obs_post_mortem(&self) -> (Vec<String>, Vec<PhaseAttribution>) {
         let Some(recorder) = self.obs.recorder() else {
             return (Vec::new(), Vec::new());
@@ -443,11 +466,6 @@ impl Platform {
             })
             .unwrap_or_default();
         (obs_tail, phase_profile)
-    }
-
-    #[cfg(not(feature = "obs"))]
-    fn obs_post_mortem(&self) -> (Vec<String>, Vec<PhaseAttribution>) {
-        (Vec::new(), Vec::new())
     }
 
     /// The accumulated statistics.
@@ -554,6 +572,19 @@ impl Platform {
     ///
     /// Returns the first fault or synchronization protocol violation.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
+        if self.slots.len() == 1 {
+            self.run_with(max_cycles, Platform::step_single)
+        } else {
+            self.run_with(max_cycles, Platform::step_arbitrated)
+        }
+    }
+
+    /// The run loop around one cycle driver.
+    fn run_with(
+        &mut self,
+        max_cycles: u64,
+        step: impl Fn(&mut Platform) -> Result<(), SimError>,
+    ) -> Result<RunExit, SimError> {
         while self.stats.cycles < max_cycles {
             if self.halted_count == self.live_count {
                 debug_assert!(self.all_halted());
@@ -583,18 +614,11 @@ impl Platform {
             if self.idle_candidate {
                 match self.adc.next_tick() {
                     Some(tick) if tick < max_cycles => {
-                        let now = self.stats.cycles;
-                        if tick > now {
-                            let skip = tick - now;
-                            for slot in &mut self.slots {
-                                if slot.present && !slot.core.is_halted() {
-                                    self.stats.cores[slot.core.id()].gated_cycles += skip;
-                                }
-                            }
-                            self.stats.cycles = tick;
+                        if tick > self.stats.cycles {
+                            self.idle_until(tick);
                             // An accounted idle skip is progress, not a
                             // stall.
-                            self.last_progress_cycle = self.stats.cycles;
+                            self.last_progress_cycle = tick;
                         }
                     }
                     _ => {
@@ -610,7 +634,7 @@ impl Platform {
                     }
                 }
             }
-            self.step()?;
+            step(self)?;
             if let Some((core, addr)) = self.watch_hit.take() {
                 return Ok(RunExit::Watchpoint { core, addr });
             }
@@ -663,339 +687,370 @@ impl Platform {
     /// Returns the first fault or synchronization protocol violation.
     pub fn step(&mut self) -> Result<(), SimError> {
         if self.slots.len() == 1 {
-            return self.step_one();
-        }
-        let cycle = self.stats.cycles;
-        let crossbar = self.config.interconnect == InterconnectKind::Crossbar;
-        // 1. ADC sampling and interrupt forwarding.
-        let irq_mask = self.adc.tick(cycle);
-        if irq_mask != 0 {
-            self.stats.adc_samples += 1;
-            self.obs.adc_sample(cycle, irq_mask);
-            for source in 0..16 {
-                if irq_mask & (1 << source) != 0 {
-                    self.synchronizer.raise_irq(source);
-                }
-            }
-            // Close the real-time accounting window.
-            for cs in &mut self.stats.cores {
-                cs.max_window_active = cs.max_window_active.max(cs.window_active);
-                cs.window_active = 0;
-            }
-            // Overruns only advance when a sample latches, so the
-            // snapshot is refreshed here rather than every cycle.
-            self.stats.adc_overruns = self.adc.overruns();
-        }
-
-        // 2. Cycle accounting and fetch requests.
-        self.scratch.fetch_reqs.clear();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if !slot.present || slot.core.is_halted() {
-                continue;
-            }
-            let cs = &mut self.stats.cores[idx];
-            if slot.core.is_gated() {
-                cs.gated_cycles += 1;
-                continue;
-            }
-            cs.active_cycles += 1;
-            cs.window_active += 1;
-            self.obs.active_cycle(cycle, idx, slot.core.pc());
-            if slot.bubble {
-                slot.bubble = false;
-                cs.bubbles += 1;
-                self.obs.bubble(cycle, idx);
-                continue;
-            }
-            if slot.held.is_some() {
-                continue;
-            }
-            let pc = slot.core.pc();
-            if pc as usize >= IM_WORDS {
-                return Err(Fault {
-                    core: idx,
-                    pc,
-                    addr: pc,
-                    kind: FaultKind::ImOutOfRange,
-                }
-                .into());
-            }
-            self.scratch.fetch_reqs.push(Request {
-                core: idx,
-                bank: InstrMemory::bank_of(pc),
-                addr: pc,
-                write: false,
-            });
-        }
-
-        // 3. Instruction-side arbitration (a decoder never conflicts).
-        if crossbar {
-            arbitrate_into(
-                &self.scratch.fetch_reqs,
-                cycle as usize,
-                self.config.broadcast,
-                &mut self.scratch.fetch_grants,
-            );
+            self.step_single()
         } else {
-            self.scratch.fetch_grants.clear();
-            self.scratch
-                .fetch_grants
-                .resize(self.scratch.fetch_reqs.len(), Grant::Access);
+            self.step_arbitrated()
         }
-        for req_idx in 0..self.scratch.fetch_grants.len() {
-            let grant = self.scratch.fetch_grants[req_idx];
-            let slot_idx = self.scratch.fetch_reqs[req_idx].core;
-            let pc = self.scratch.fetch_reqs[req_idx].addr;
-            match grant {
-                Grant::Access | Grant::Broadcast => {
-                    if grant == Grant::Access {
-                        self.stats.im.reads[self.scratch.fetch_reqs[req_idx].bank] += 1;
-                    } else {
-                        self.stats.im.broadcasts += 1;
-                    }
-                    if crossbar {
-                        self.stats.xbar_im += 1;
-                    }
-                    let decoded = self.fetch_decoded(pc);
-                    let instr = decoded.ok_or(SimError::Fault(Fault {
-                        core: slot_idx,
-                        pc,
-                        addr: pc,
-                        kind: FaultKind::BadInstruction,
-                    }))?;
-                    debug_assert!(self.im.fetch(pc).is_some());
-                    self.obs
-                        .im_access(cycle, self.scratch.fetch_reqs[req_idx].bank);
-                    self.slots[slot_idx].held = Some(instr);
-                }
-                Grant::Stall => {
-                    self.stats.im.conflicts += 1;
-                    self.stats.cores[slot_idx].stall_im += 1;
-                    // The dead fetch cycle covers the load latency: the
-                    // eventual consumer is no longer the immediately next
-                    // issue slot, so a surviving hazard latch must not
-                    // charge a phantom stall on top of the IM stall.
-                    self.slots[slot_idx].core.clear_hazard();
-                    self.obs.stall(cycle, slot_idx, StallCause::ImConflict);
-                    if let Some(tracer) = &mut self.tracer {
-                        tracer.record_stall(StallRecord {
-                            cycle,
-                            core: slot_idx,
-                            pc,
-                            cause: StallCause::ImConflict,
-                        });
-                    }
-                }
+    }
+
+    /// One cycle of the stage pipeline for any number of slots: the
+    /// slots' requests are gathered into the scratch buffers, the
+    /// crossbars arbitrate them, and each grant is applied in request
+    /// order. A decoder serves only a lone core, whose single request
+    /// [`arbitrate_into`] always grants.
+    fn step_arbitrated(&mut self) -> Result<(), SimError> {
+        let cycle = self.stats.cycles;
+        let broadcast = self.config.broadcast;
+        self.tick_adc(cycle);
+
+        self.scratch.fetch_reqs.clear();
+        for idx in 0..self.slots.len() {
+            if let Issue::Fetch(pc) = self.issue(cycle, idx)? {
+                self.scratch.fetch_reqs.push(Request {
+                    core: idx,
+                    bank: InstrMemory::bank_of(pc),
+                    addr: pc,
+                    write: false,
+                });
             }
         }
+        let scratch = &mut self.scratch;
+        arbitrate_into(
+            &scratch.fetch_reqs,
+            cycle as usize,
+            broadcast,
+            &mut scratch.fetch_grants,
+        );
+        for i in 0..self.scratch.fetch_reqs.len() {
+            let req = self.scratch.fetch_reqs[i];
+            self.fetch(cycle, req.core, req.addr, self.scratch.fetch_grants[i])?;
+        }
 
-        // 4. Hazards and memory intents for every held instruction.
+        // A slot holds an instruction only between its fetch and its
+        // retirement, so every holder is present, unhalted and ungated:
+        // gating and halting both follow a retirement.
         self.scratch.ready.clear();
         self.scratch.dm_reqs.clear();
         self.scratch.dm_meta.clear();
         for idx in 0..self.slots.len() {
-            let slot = &mut self.slots[idx];
-            if !slot.present || slot.core.is_halted() || slot.core.is_gated() || slot.bubble {
+            if self.slots[idx].held.is_none() {
                 continue;
             }
-            let Some(decoded) = slot.held else { continue };
-            if !self.config.forwarding && slot.core.has_load_use_hazard_mask(decoded.src_mask) {
-                slot.core.clear_hazard();
-                let pc = slot.core.pc();
-                self.stats.cores[idx].stall_hazard += 1;
-                self.obs.stall(cycle, idx, StallCause::LoadUseHazard);
-                if let Some(tracer) = &mut self.tracer {
-                    tracer.record_stall(StallRecord {
-                        cycle,
-                        core: idx,
-                        pc,
-                        cause: StallCause::LoadUseHazard,
-                    });
-                }
-                continue;
-            }
-            if decoded.mem == MemClass::None {
-                self.scratch.ready.push((idx, Ready::NoMem));
-                continue;
-            }
-            let intent = slot
-                .core
-                .mem_intent(&decoded.instr)
-                .expect("memory class implies an intent");
-            let (addr, store) = match intent {
-                MemIntent::Load { addr } => (addr, None),
-                MemIntent::Store { addr, value } => (addr, Some(value)),
-            };
-            let target = self.atu.translate(idx, addr).map_err(|kind| -> SimError {
-                Fault {
-                    core: idx,
-                    pc: slot.core.pc(),
-                    addr,
-                    kind,
-                }
-                .into()
-            })?;
-            match target {
-                DmTarget::Memory { location, .. } => {
+            match self.resolve(cycle, idx)? {
+                Resolved::Hazard => {}
+                Resolved::Ready(load) => self.scratch.ready.push((idx, load)),
+                Resolved::Dm(access) => {
                     self.scratch.dm_reqs.push(Request {
                         core: idx,
-                        bank: location.bank,
-                        addr,
-                        write: store.is_some(),
+                        bank: access.location.bank,
+                        addr: access.addr,
+                        write: access.store.is_some(),
                     });
-                    self.scratch.dm_meta.push((idx, target, store));
-                }
-                DmTarget::SyncPoint(point) => {
-                    if store.is_some() {
-                        return Err(Fault {
-                            core: idx,
-                            pc: slot.core.pc(),
-                            addr,
-                            kind: FaultKind::WriteToSyncRegion,
-                        }
-                        .into());
-                    }
-                    let word = self.synchronizer.point_value(point)?.to_word();
-                    self.stats.sync_region_reads += 1;
-                    self.scratch.ready.push((idx, Ready::Load(word)));
-                }
-                DmTarget::Mmio(mmio_addr) => {
-                    let value = self.access_mmio(idx, mmio_addr, store)?;
-                    match store {
-                        Some(_) => self.scratch.ready.push((idx, Ready::Store)),
-                        None => self.scratch.ready.push((idx, Ready::Load(value))),
-                    }
+                    self.scratch.dm_meta.push(access);
                 }
             }
         }
 
-        // 5. Data-side arbitration and physical accesses.
-        if crossbar {
-            arbitrate_into(
-                &self.scratch.dm_reqs,
-                cycle as usize,
-                self.config.broadcast,
-                &mut self.scratch.dm_grants,
-            );
-        } else {
-            self.scratch.dm_grants.clear();
-            self.scratch
-                .dm_grants
-                .resize(self.scratch.dm_reqs.len(), Grant::Access);
-        }
         // Broadcast loads observe the winner's value; resolve accesses in
         // grant order: all reads of one address see the pre-write value
         // only if no write won — writes and reads of the same address
         // never both win in one cycle, so read-after-write hazards within
         // a cycle cannot occur.
-        for i in 0..self.scratch.dm_grants.len() {
-            let grant = self.scratch.dm_grants[i];
-            let (slot_idx, target, store) = self.scratch.dm_meta[i];
-            let DmTarget::Memory { location, .. } = target else {
-                unreachable!("only banked targets are arbitrated");
-            };
-            match grant {
-                Grant::Access => {
-                    if crossbar {
-                        self.stats.xbar_dm += 1;
-                    }
-                    self.obs.dm_access(cycle, location.bank);
-                    match store {
-                        Some(value) => {
-                            self.stats.dm.writes[location.bank] += 1;
-                            self.dm.write(location, value);
-                            if !self.watchpoints.is_empty() {
-                                let addr = self.scratch.dm_reqs[i].addr;
-                                if self.watchpoints.contains(&addr) {
-                                    self.watch_hit = Some((slot_idx, addr));
-                                }
-                            }
-                            self.scratch.ready.push((slot_idx, Ready::Store));
-                        }
-                        None => {
-                            self.stats.dm.reads[location.bank] += 1;
-                            self.scratch
-                                .ready
-                                .push((slot_idx, Ready::Load(self.dm.read(location))));
-                        }
-                    }
-                }
-                Grant::Broadcast => {
-                    if crossbar {
-                        self.stats.xbar_dm += 1;
-                    }
-                    self.stats.dm.broadcasts += 1;
-                    self.obs.dm_access(cycle, location.bank);
-                    self.scratch
-                        .ready
-                        .push((slot_idx, Ready::Load(self.dm.read(location))));
-                }
-                Grant::Stall => {
-                    self.stats.dm.conflicts += 1;
-                    self.stats.cores[slot_idx].stall_dm += 1;
-                    self.obs.stall(cycle, slot_idx, StallCause::DmConflict);
-                    if let Some(tracer) = &mut self.tracer {
-                        tracer.record_stall(StallRecord {
-                            cycle,
-                            core: slot_idx,
-                            pc: self.slots[slot_idx].core.pc(),
-                            cause: StallCause::DmConflict,
-                        });
-                    }
-                }
+        let scratch = &mut self.scratch;
+        arbitrate_into(
+            &scratch.dm_reqs,
+            cycle as usize,
+            broadcast,
+            &mut scratch.dm_grants,
+        );
+        for i in 0..self.scratch.dm_meta.len() {
+            let access = self.scratch.dm_meta[i];
+            if let Some(load) = self.dm_grant(cycle, access, self.scratch.dm_grants[i]) {
+                self.scratch.ready.push((access.core, load));
             }
         }
 
-        // 6. Retirement.
         for i in 0..self.scratch.ready.len() {
-            let (slot_idx, r) = self.scratch.ready[i];
-            let slot = &mut self.slots[slot_idx];
-            let decoded = slot.held.take().expect("ready instructions were held");
-            let instr = decoded.instr;
-            let load_value = match r {
-                Ready::Load(v) => Some(v),
-                _ => None,
+            let (idx, load) = self.scratch.ready[i];
+            self.retire(cycle, idx, load)?;
+        }
+        self.commit(cycle)
+    }
+
+    /// The same pipeline for a lone slot. A single request always wins
+    /// its bank, so gathering and arbitration collapse into an implicit
+    /// [`Grant::Access`] and no scratch buffer is touched. The stages
+    /// are `#[inline(always)]` so that this constant grant folds away:
+    /// left to the inliner, single-core throughput dropped by about a
+    /// quarter on a 2-vCPU x86-64 host.
+    fn step_single(&mut self) -> Result<(), SimError> {
+        let cycle = self.stats.cycles;
+        self.tick_adc(cycle);
+        'slot: {
+            match self.issue(cycle, 0)? {
+                Issue::Idle => break 'slot,
+                Issue::Fetch(pc) => self.fetch(cycle, 0, pc, Grant::Access)?,
+                Issue::Held => {}
+            }
+            let load = match self.resolve(cycle, 0)? {
+                Resolved::Hazard => break 'slot,
+                Resolved::Ready(load) => load,
+                Resolved::Dm(access) => self
+                    .dm_grant(cycle, access, Grant::Access)
+                    .expect("a granted access completes"),
             };
-            self.stats.cores[slot_idx].instructions += 1;
-            self.instr_retired += 1;
-            self.obs.retire(cycle, slot_idx);
-            match instr {
-                Instr::Sync { kind, point } => {
-                    self.stats.cores[slot_idx].sync_ops += 1;
-                    self.obs.sync_op(cycle, slot_idx, kind, point);
-                }
-                Instr::Sleep => {
-                    self.stats.cores[slot_idx].sleeps += 1;
-                    self.obs.sleep_op(cycle, slot_idx);
-                }
-                _ => {}
-            }
-            if let Some(tracer) = &mut self.tracer {
-                tracer.record(TraceEvent {
-                    cycle,
-                    core: slot_idx,
-                    pc: slot.core.pc(),
-                    instr,
-                });
-            }
-            match slot.core.retire(instr, load_value) {
-                Retire::Next => {}
-                Retire::Halt => {
-                    self.halted_count += 1;
-                    self.idle_candidate = true;
-                }
-                Retire::Taken => slot.bubble = true,
-                Retire::Sync { kind, point } => {
-                    self.synchronizer
-                        .submit_op(CoreId::new(slot_idx)?, kind, point)?;
-                }
-                Retire::Sleep => {
-                    self.synchronizer.request_sleep(CoreId::new(slot_idx)?);
-                }
+            self.retire(cycle, 0, load)?;
+        }
+        self.commit(cycle)
+    }
+
+    fn crossbar(&self) -> bool {
+        self.config.interconnect == InterconnectKind::Crossbar
+    }
+
+    /// Stage 1: ADC sampling and interrupt forwarding. A latched sample
+    /// closes the real-time accounting window.
+    #[inline(always)]
+    fn tick_adc(&mut self, cycle: u64) {
+        let irq_mask = self.adc.tick(cycle);
+        if irq_mask == 0 {
+            return;
+        }
+        self.stats.adc_samples += 1;
+        self.obs.adc_sample(cycle, irq_mask);
+        for source in 0..16 {
+            if irq_mask & (1 << source) != 0 {
+                self.synchronizer.raise_irq(source);
             }
         }
+        for cs in &mut self.stats.cores {
+            cs.max_window_active = cs.max_window_active.max(cs.window_active);
+            cs.window_active = 0;
+        }
+        // Overruns only advance when a sample latches, so the snapshot
+        // is refreshed here rather than every cycle.
+        self.stats.adc_overruns = self.adc.overruns();
+    }
 
-        // 7. Synchronizer commit: gating and wake-up.
+    /// Stage 2: cycle accounting for one slot, and what it does with the
+    /// rest of the cycle.
+    #[inline(always)]
+    fn issue(&mut self, cycle: u64, idx: usize) -> Result<Issue, SimError> {
+        let slot = &mut self.slots[idx];
+        if !slot.present || slot.core.is_halted() {
+            return Ok(Issue::Idle);
+        }
+        let cs = &mut self.stats.cores[idx];
+        if slot.core.is_gated() {
+            cs.gated_cycles += 1;
+            return Ok(Issue::Idle);
+        }
+        cs.active_cycles += 1;
+        cs.window_active += 1;
+        let pc = slot.core.pc();
+        self.obs.active_cycle(cycle, idx, pc);
+        if slot.bubble {
+            slot.bubble = false;
+            cs.bubbles += 1;
+            self.obs.bubble(cycle, idx);
+            return Ok(Issue::Idle);
+        }
+        if slot.held.is_some() {
+            return Ok(Issue::Held);
+        }
+        if pc as usize >= IM_WORDS {
+            return Err(Fault {
+                core: idx,
+                pc,
+                addr: pc,
+                kind: FaultKind::ImOutOfRange,
+            }
+            .into());
+        }
+        Ok(Issue::Fetch(pc))
+    }
+
+    /// Stage 3: applies the instruction-side grant of a fetch from `pc`.
+    #[inline(always)]
+    fn fetch(&mut self, cycle: u64, idx: usize, pc: u32, grant: Grant) -> Result<(), SimError> {
+        let bank = InstrMemory::bank_of(pc);
+        match grant {
+            Grant::Access | Grant::Broadcast => {
+                if grant == Grant::Access {
+                    self.stats.im.reads[bank] += 1;
+                } else {
+                    self.stats.im.broadcasts += 1;
+                }
+                if self.crossbar() {
+                    self.stats.xbar_im += 1;
+                }
+                let instr = self.fetch_decoded(pc).ok_or(SimError::Fault(Fault {
+                    core: idx,
+                    pc,
+                    addr: pc,
+                    kind: FaultKind::BadInstruction,
+                }))?;
+                debug_assert!(self.im.fetch(pc).is_some());
+                self.obs.im_access(cycle, bank);
+                self.slots[idx].held = Some(instr);
+            }
+            Grant::Stall => {
+                self.stats.im.conflicts += 1;
+                // The dead fetch cycle covers the load latency: the
+                // eventual consumer is no longer the immediately next
+                // issue slot, so a surviving hazard latch must not
+                // charge a phantom stall on top of the IM stall.
+                self.slots[idx].core.clear_hazard();
+                self.record_stall(cycle, idx, pc, StallCause::ImConflict);
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 4: the load-use hazard check and the memory intent of the
+    /// held instruction. Sync-region reads and MMIO complete here;
+    /// banked accesses go on to data-side arbitration.
+    #[inline(always)]
+    fn resolve(&mut self, cycle: u64, idx: usize) -> Result<Resolved, SimError> {
+        let slot = &mut self.slots[idx];
+        let decoded = slot.held.expect("only a holding slot resolves");
+        let pc = slot.core.pc();
+        if !self.config.forwarding && slot.core.has_load_use_hazard_mask(decoded.src_mask) {
+            slot.core.clear_hazard();
+            self.record_stall(cycle, idx, pc, StallCause::LoadUseHazard);
+            return Ok(Resolved::Hazard);
+        }
+        if decoded.mem == MemClass::None {
+            return Ok(Resolved::Ready(None));
+        }
+        let (addr, store) = match slot.core.mem_intent(&decoded.instr) {
+            Some(MemIntent::Load { addr }) => (addr, None),
+            Some(MemIntent::Store { addr, value }) => (addr, Some(value)),
+            None => unreachable!("memory class implies an intent"),
+        };
+        let fault = |kind| -> SimError {
+            Fault {
+                core: idx,
+                pc,
+                addr,
+                kind,
+            }
+            .into()
+        };
+        match self.atu.translate(idx, addr).map_err(fault)? {
+            DmTarget::Memory { location, .. } => Ok(Resolved::Dm(DmAccess {
+                core: idx,
+                location,
+                addr,
+                store,
+            })),
+            DmTarget::SyncPoint(_) if store.is_some() => Err(fault(FaultKind::WriteToSyncRegion)),
+            DmTarget::SyncPoint(point) => {
+                let word = self.synchronizer.point_value(point)?.to_word();
+                self.stats.sync_region_reads += 1;
+                Ok(Resolved::Ready(Some(word)))
+            }
+            DmTarget::Mmio(mmio_addr) => {
+                let value = self.access_mmio(idx, mmio_addr, store)?;
+                Ok(Resolved::Ready(store.is_none().then_some(value)))
+            }
+        }
+    }
+
+    /// Stage 5: applies the data-side grant of a banked access; `None`
+    /// when the access lost arbitration and the instruction stays held.
+    #[inline(always)]
+    fn dm_grant(&mut self, cycle: u64, access: DmAccess, grant: Grant) -> Option<Load> {
+        let DmAccess {
+            core,
+            location,
+            addr,
+            store,
+        } = access;
+        if grant == Grant::Stall {
+            self.stats.dm.conflicts += 1;
+            let pc = self.slots[core].core.pc();
+            self.record_stall(cycle, core, pc, StallCause::DmConflict);
+            return None;
+        }
+        if self.crossbar() {
+            self.stats.xbar_dm += 1;
+        }
+        self.obs.dm_access(cycle, location.bank);
+        Some(match (grant, store) {
+            (Grant::Broadcast, _) => {
+                self.stats.dm.broadcasts += 1;
+                Some(self.dm.read(location))
+            }
+            (_, Some(value)) => {
+                self.stats.dm.writes[location.bank] += 1;
+                self.dm.write(location, value);
+                if !self.watchpoints.is_empty() && self.watchpoints.contains(&addr) {
+                    self.watch_hit = Some((core, addr));
+                }
+                None
+            }
+            (_, None) => {
+                self.stats.dm.reads[location.bank] += 1;
+                Some(self.dm.read(location))
+            }
+        })
+    }
+
+    /// Stage 6: retires the held instruction of one slot.
+    #[inline(always)]
+    fn retire(&mut self, cycle: u64, idx: usize, load: Load) -> Result<(), SimError> {
+        let slot = &mut self.slots[idx];
+        let instr = slot
+            .held
+            .take()
+            .expect("ready instructions were held")
+            .instr;
+        let cs = &mut self.stats.cores[idx];
+        cs.instructions += 1;
+        self.instr_retired += 1;
+        self.obs.retire(cycle, idx);
+        match instr {
+            Instr::Sync { kind, point } => {
+                cs.sync_ops += 1;
+                self.obs.sync_op(cycle, idx, kind, point);
+            }
+            Instr::Sleep => {
+                cs.sleeps += 1;
+                self.obs.sleep_op(cycle, idx);
+            }
+            _ => {}
+        }
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record(TraceEvent {
+                cycle,
+                core: idx,
+                pc: slot.core.pc(),
+                instr,
+            });
+        }
+        match slot.core.retire(instr, load) {
+            Retire::Next => {}
+            Retire::Halt => {
+                self.halted_count += 1;
+                self.idle_candidate = true;
+            }
+            Retire::Taken => slot.bubble = true,
+            Retire::Sync { kind, point } => {
+                self.synchronizer
+                    .submit_op(CoreId::new(idx)?, kind, point)?;
+            }
+            Retire::Sleep => {
+                self.synchronizer.request_sleep(CoreId::new(idx)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 7: the synchronizer commit (gating and wake-up), which ends
+    /// the cycle.
+    #[inline(always)]
+    fn commit(&mut self, cycle: u64) -> Result<(), SimError> {
         let outcome = self.synchronizer.commit()?;
         self.obs.sync_outcome(cycle, &outcome);
         self.stats.sync_region_writes += outcome.memory_writes as u64;
@@ -1012,238 +1067,29 @@ impl Platform {
             // not charge the first post-wake instruction a hazard stall.
             slot.core.clear_hazard();
         }
-
         self.stats.cycles += 1;
         Ok(())
     }
 
-    /// Single-slot specialization of [`Platform::step`]: with one core
-    /// there is never an arbitration conflict, so the request/grant
-    /// machinery and its scratch buffers collapse into straight-line
-    /// code. Every stat and fault must mirror the general path exactly —
-    /// the differential oracle tests compare the two cycle for cycle.
-    fn step_one(&mut self) -> Result<(), SimError> {
-        let cycle = self.stats.cycles;
-        let crossbar = self.config.interconnect == InterconnectKind::Crossbar;
-
-        // ADC sampling and interrupt forwarding.
-        let irq_mask = self.adc.tick(cycle);
-        if irq_mask != 0 {
-            self.stats.adc_samples += 1;
-            self.obs.adc_sample(cycle, irq_mask);
-            for source in 0..16 {
-                if irq_mask & (1 << source) != 0 {
-                    self.synchronizer.raise_irq(source);
-                }
-            }
-            let cs = &mut self.stats.cores[0];
-            cs.max_window_active = cs.max_window_active.max(cs.window_active);
-            cs.window_active = 0;
-            self.stats.adc_overruns = self.adc.overruns();
+    /// Records one stalled cycle of `core` at `pc` in all three places
+    /// that count stalls: the per-core counter, the observability stall
+    /// run and the trace ring.
+    fn record_stall(&mut self, cycle: u64, core: usize, pc: u32, cause: StallCause) {
+        let cs = &mut self.stats.cores[core];
+        match cause {
+            StallCause::ImConflict => cs.stall_im += 1,
+            StallCause::DmConflict => cs.stall_dm += 1,
+            StallCause::LoadUseHazard => cs.stall_hazard += 1,
         }
-
-        'exec: {
-            // Cycle accounting and fetch.
-            if !self.slots[0].present || self.slots[0].core.is_halted() {
-                break 'exec;
-            }
-            if self.slots[0].core.is_gated() {
-                self.stats.cores[0].gated_cycles += 1;
-                break 'exec;
-            }
-            {
-                let cs = &mut self.stats.cores[0];
-                cs.active_cycles += 1;
-                cs.window_active += 1;
-            }
-            self.obs.active_cycle(cycle, 0, self.slots[0].core.pc());
-            if self.slots[0].bubble {
-                self.slots[0].bubble = false;
-                self.stats.cores[0].bubbles += 1;
-                self.obs.bubble(cycle, 0);
-                break 'exec;
-            }
-            if self.slots[0].held.is_none() {
-                let pc = self.slots[0].core.pc();
-                if pc as usize >= IM_WORDS {
-                    return Err(Fault {
-                        core: 0,
-                        pc,
-                        addr: pc,
-                        kind: FaultKind::ImOutOfRange,
-                    }
-                    .into());
-                }
-                // A lone fetch always wins its bank.
-                self.stats.im.reads[InstrMemory::bank_of(pc)] += 1;
-                self.obs.im_access(cycle, InstrMemory::bank_of(pc));
-                if crossbar {
-                    self.stats.xbar_im += 1;
-                }
-                let decoded = self.fetch_decoded(pc).ok_or(SimError::Fault(Fault {
-                    core: 0,
-                    pc,
-                    addr: pc,
-                    kind: FaultKind::BadInstruction,
-                }))?;
-                self.slots[0].held = Some(decoded);
-            }
-
-            // Hazard check and memory resolution.
-            let decoded = self.slots[0].held.expect("fetched or previously held");
-            if !self.config.forwarding
-                && self.slots[0]
-                    .core
-                    .has_load_use_hazard_mask(decoded.src_mask)
-            {
-                self.slots[0].core.clear_hazard();
-                let pc = self.slots[0].core.pc();
-                self.stats.cores[0].stall_hazard += 1;
-                self.obs.stall(cycle, 0, StallCause::LoadUseHazard);
-                if let Some(tracer) = &mut self.tracer {
-                    tracer.record_stall(StallRecord {
-                        cycle,
-                        core: 0,
-                        pc,
-                        cause: StallCause::LoadUseHazard,
-                    });
-                }
-                break 'exec;
-            }
-            let ready = if decoded.mem == MemClass::None {
-                Ready::NoMem
-            } else {
-                let intent = self.slots[0]
-                    .core
-                    .mem_intent(&decoded.instr)
-                    .expect("memory class implies an intent");
-                let (addr, store) = match intent {
-                    MemIntent::Load { addr } => (addr, None),
-                    MemIntent::Store { addr, value } => (addr, Some(value)),
-                };
-                let target = self.atu.translate(0, addr).map_err(|kind| -> SimError {
-                    Fault {
-                        core: 0,
-                        pc: self.slots[0].core.pc(),
-                        addr,
-                        kind,
-                    }
-                    .into()
-                })?;
-                match target {
-                    // A lone request always wins arbitration.
-                    DmTarget::Memory { location, .. } => {
-                        if crossbar {
-                            self.stats.xbar_dm += 1;
-                        }
-                        self.obs.dm_access(cycle, location.bank);
-                        match store {
-                            Some(value) => {
-                                self.stats.dm.writes[location.bank] += 1;
-                                self.dm.write(location, value);
-                                if !self.watchpoints.is_empty() && self.watchpoints.contains(&addr)
-                                {
-                                    self.watch_hit = Some((0, addr));
-                                }
-                                Ready::Store
-                            }
-                            None => {
-                                self.stats.dm.reads[location.bank] += 1;
-                                Ready::Load(self.dm.read(location))
-                            }
-                        }
-                    }
-                    DmTarget::SyncPoint(point) => {
-                        if store.is_some() {
-                            return Err(Fault {
-                                core: 0,
-                                pc: self.slots[0].core.pc(),
-                                addr,
-                                kind: FaultKind::WriteToSyncRegion,
-                            }
-                            .into());
-                        }
-                        let word = self.synchronizer.point_value(point)?.to_word();
-                        self.stats.sync_region_reads += 1;
-                        Ready::Load(word)
-                    }
-                    DmTarget::Mmio(mmio_addr) => {
-                        let value = self.access_mmio(0, mmio_addr, store)?;
-                        match store {
-                            Some(_) => Ready::Store,
-                            None => Ready::Load(value),
-                        }
-                    }
-                }
-            };
-
-            // Retirement.
-            let decoded = self.slots[0]
-                .held
-                .take()
-                .expect("ready instruction was held");
-            let instr = decoded.instr;
-            let load_value = match ready {
-                Ready::Load(v) => Some(v),
-                _ => None,
-            };
-            self.stats.cores[0].instructions += 1;
-            self.instr_retired += 1;
-            self.obs.retire(cycle, 0);
-            match instr {
-                Instr::Sync { kind, point } => {
-                    self.stats.cores[0].sync_ops += 1;
-                    self.obs.sync_op(cycle, 0, kind, point);
-                }
-                Instr::Sleep => {
-                    self.stats.cores[0].sleeps += 1;
-                    self.obs.sleep_op(cycle, 0);
-                }
-                _ => {}
-            }
-            if let Some(tracer) = &mut self.tracer {
-                tracer.record(TraceEvent {
-                    cycle,
-                    core: 0,
-                    pc: self.slots[0].core.pc(),
-                    instr,
-                });
-            }
-            match self.slots[0].core.retire(instr, load_value) {
-                Retire::Next => {}
-                Retire::Halt => {
-                    self.halted_count += 1;
-                    self.idle_candidate = true;
-                }
-                Retire::Taken => self.slots[0].bubble = true,
-                Retire::Sync { kind, point } => {
-                    self.synchronizer.submit_op(CoreId::new(0)?, kind, point)?;
-                }
-                Retire::Sleep => {
-                    self.synchronizer.request_sleep(CoreId::new(0)?);
-                }
-            }
+        self.obs.stall(cycle, core, cause);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record_stall(StallRecord {
+                cycle,
+                core,
+                pc,
+                cause,
+            });
         }
-
-        // Synchronizer commit: gating and wake-up.
-        let outcome = self.synchronizer.commit()?;
-        self.obs.sync_outcome(cycle, &outcome);
-        self.stats.sync_region_writes += outcome.memory_writes as u64;
-        if !outcome.slept.is_empty() {
-            self.idle_candidate = true;
-        }
-        for core in outcome.slept.iter() {
-            self.slots[core.index()].core.set_gated(true);
-        }
-        for core in outcome.woken.iter() {
-            let slot = &mut self.slots[core.index()];
-            slot.core.set_gated(false);
-            // Invariant guard, mirroring the multi-core path.
-            slot.core.clear_hazard();
-        }
-
-        self.stats.cycles += 1;
-        Ok(())
     }
 
     /// Resolves the instruction at `pc`: predecoded fast path by
@@ -1303,6 +1149,52 @@ mod tests {
     use super::*;
     use wbsn_isa::{assemble_text, Linker, Section};
 
+    const ARITHMETIC: &str = "li r1, 6\n\
+         li r2, 7\n\
+         mul r3, r1, r2\n\
+         sw r3, 0x100(r0)\n\
+         halt\n";
+
+    /// 4 iterations of a 2-instruction loop with a taken branch each
+    /// time except the last.
+    const LOOP: &str = "li r1, 4\n\
+         loop: addi r1, r1, -1\n\
+         bne r1, r0, loop\n\
+         halt\n";
+
+    const LOAD_USE: &str = "li r1, 0x40\n\
+         sw r1, 0x40(r0)\n\
+         lw r2, 0x40(r0)\n\
+         add r3, r2, r2\n\
+         halt\n";
+
+    /// A jump right after the load: the consumer of the loaded register
+    /// issues after the taken-branch bubble.
+    const SQUASH: &str = "li r1, 7\n\
+         sw r1, 0x40(r0)\n\
+         lw r2, 0x40(r0)\n\
+         jmp target\n\
+         nop\n\
+         target: add r3, r2, r2\n\
+         sw r3, 0x41(r0)\n\
+         halt\n";
+
+    /// Load, subscribe to ADC channel 0, sleep; the first instructions
+    /// after the wake consume the pre-sleep loaded register.
+    const WAKE: &str = "li r1, 9\n\
+         sw r1, 0x40(r0)\n\
+         li r1, 1\n\
+         lui r2, 0x7F\n\
+         ori r2, r2, 0x20\n\
+         sw r1, 0(r2)\n\
+         lw r4, 0x40(r0)\n\
+         sleep\n\
+         add r3, r4, r4\n\
+         sw r3, 0x200(r0)\n\
+         halt\n";
+
+    const SYNC_READ: &str = "lw r1, 0x10(r0)\nsw r1, 0x300(r0)\nhalt\n";
+
     fn single_core_platform(asm: &str) -> Platform {
         let program = assemble_text(asm).expect("test program assembles");
         let mut linker = Linker::new();
@@ -1314,13 +1206,7 @@ mod tests {
 
     #[test]
     fn arithmetic_program_produces_result() {
-        let mut p = single_core_platform(
-            "li r1, 6\n\
-             li r2, 7\n\
-             mul r3, r1, r2\n\
-             sw r3, 0x100(r0)\n\
-             halt\n",
-        );
+        let mut p = single_core_platform(ARITHMETIC);
         assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
         assert_eq!(p.peek_dm(0x100).unwrap(), 42);
         assert_eq!(p.stats().cores[0].instructions, 5);
@@ -1328,14 +1214,7 @@ mod tests {
 
     #[test]
     fn loop_timing_counts_bubbles() {
-        // 4 iterations of a 2-instruction loop with a taken branch each
-        // time except the last.
-        let mut p = single_core_platform(
-            "li r1, 4\n\
-             loop: addi r1, r1, -1\n\
-             bne r1, r0, loop\n\
-             halt\n",
-        );
+        let mut p = single_core_platform(LOOP);
         assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
         assert_eq!(cs.instructions, 1 + 4 * 2 + 1);
@@ -1344,13 +1223,7 @@ mod tests {
 
     #[test]
     fn load_use_hazard_costs_a_cycle() {
-        let mut p = single_core_platform(
-            "li r1, 0x40\n\
-             sw r1, 0x40(r0)\n\
-             lw r2, 0x40(r0)\n\
-             add r3, r2, r2\n\
-             halt\n",
-        );
+        let mut p = single_core_platform(LOAD_USE);
         assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
         assert_eq!(cs.stall_hazard, 1);
@@ -1362,13 +1235,7 @@ mod tests {
         // Same program as `load_use_hazard_costs_a_cycle`, but with the
         // memory→execute bypass on: the back-to-back load-use pair must
         // cost no hazard stall and still compute the right value.
-        let mut p = single_core_platform(
-            "li r1, 0x40\n\
-             sw r1, 0x40(r0)\n\
-             lw r2, 0x40(r0)\n\
-             add r3, r2, r2\n\
-             halt\n",
-        );
+        let mut p = single_core_platform(LOAD_USE);
         p.set_forwarding(true);
         assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
@@ -1415,19 +1282,9 @@ mod tests {
 
     #[test]
     fn taken_branch_squash_clears_the_hazard_latch() {
-        // A jump right after the load: the consumer of the loaded
-        // register issues after the taken-branch bubble, so the latch
-        // set by the `lw` must not charge it a phantom hazard stall.
-        let mut p = single_core_platform(
-            "li r1, 7\n\
-             sw r1, 0x40(r0)\n\
-             lw r2, 0x40(r0)\n\
-             jmp target\n\
-             nop\n\
-             target: add r3, r2, r2\n\
-             sw r3, 0x41(r0)\n\
-             halt\n",
-        );
+        // The latch set by the `lw` must not charge the consumer after
+        // the bubble a phantom hazard stall.
+        let mut p = single_core_platform(SQUASH);
         assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
         assert_eq!(cs.stall_hazard, 0);
@@ -1437,22 +1294,9 @@ mod tests {
 
     #[test]
     fn wake_after_sleep_charges_no_phantom_hazard() {
-        // Load, subscribe, sleep; the first instructions after the wake
-        // consume the pre-sleep loaded register. Any latch surviving the
-        // gated interval would charge a phantom stall here.
-        let mut p = single_core_platform(
-            "li r1, 9\n\
-             sw r1, 0x40(r0)\n\
-             li r1, 1\n\
-             lui r2, 0x7F\n\
-             ori r2, r2, 0x20\n\
-             sw r1, 0(r2)\n\
-             lw r4, 0x40(r0)\n\
-             sleep\n\
-             add r3, r4, r4\n\
-             sw r3, 0x200(r0)\n\
-             halt\n",
-        );
+        // Any latch surviving the gated interval would charge a phantom
+        // stall after the wake.
+        let mut p = single_core_platform(WAKE);
         p.set_adc_streams(vec![vec![55]]);
         assert_eq!(p.run(100_000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
@@ -1546,7 +1390,7 @@ mod tests {
 
     #[test]
     fn sync_point_region_is_readable() {
-        let mut p = single_core_platform("lw r1, 0x10(r0)\nsw r1, 0x300(r0)\nhalt\n");
+        let mut p = single_core_platform(SYNC_READ);
         p.preload_sync_point(0, 3, false).unwrap();
         p.run(100).unwrap();
         assert_eq!(p.peek_dm(0x300).unwrap(), 3);
@@ -1615,6 +1459,48 @@ mod tests {
         for idx in 1..8 {
             assert_eq!(p.stats().cores[idx].active_cycles, 0);
             assert_eq!(p.stats().cores[idx].instructions, 0);
+        }
+    }
+
+    /// The 1-slot instance must stay an instance: the arbitrated driver
+    /// runs the same single-core programs to the same stats, trace
+    /// (stalls included) and data memory.
+    #[test]
+    fn both_cycle_drivers_agree_on_single_core_programs() {
+        type Setup = fn(&mut Platform);
+        let cases: [(&str, Setup); 7] = [
+            (ARITHMETIC, |_| {}),
+            (LOOP, |_| {}),
+            (LOAD_USE, |_| {}),
+            (LOAD_USE, |p| p.set_forwarding(true)),
+            (SQUASH, |_| {}),
+            (WAKE, |p| p.set_adc_streams(vec![vec![55]])),
+            (SYNC_READ, |p| p.preload_sync_point(0, 3, false).unwrap()),
+        ];
+        for (asm, setup) in cases {
+            let twins = [
+                Platform::step_arbitrated as fn(&mut Platform) -> Result<(), SimError>,
+                Platform::step_single,
+            ]
+            .map(|driver| {
+                let mut p = single_core_platform(asm);
+                setup(&mut p);
+                p.enable_trace(4096, 0xFF);
+                let exit = p.run_with(100_000, driver).unwrap();
+                (p, exit)
+            });
+            let [(general, general_exit), (single, single_exit)] = twins;
+            assert_eq!(general_exit, RunExit::AllHalted, "{asm}");
+            assert_eq!(general_exit, single_exit, "{asm}");
+            assert_eq!(general.stats(), single.stats(), "{asm}");
+            let entries = |p: &Platform| p.trace().unwrap().entries().copied().collect::<Vec<_>>();
+            assert_eq!(entries(&general), entries(&single), "{asm}");
+            for bank in 0..wbsn_isa::DM_BANKS {
+                for row in 0..wbsn_isa::DM_BANK_WORDS {
+                    let loc = DmLocation { bank, row };
+                    assert_eq!(general.dm.read(loc), single.dm.read(loc), "{asm}");
+                }
+            }
         }
     }
 }

@@ -15,7 +15,7 @@ use std::fmt;
 
 use wbsn_isa::Instr;
 
-use crate::obs::StallCause;
+use wbsn_obs::StallCause;
 
 /// One retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,7 +2,22 @@
 //! platform.
 
 use wbsn_isa::{assemble_text, Linker, Section};
-use wbsn_sim::{Platform, PlatformConfig, RunExit};
+use wbsn_sim::{ObsConfig, Platform, PlatformConfig, RunExit, StallCause, TraceEntry};
+
+/// Count-down loops at different addresses of one instruction bank.
+const FETCH_A: &str = "li r1, 50\nla: addi r1, r1, -1\nbne r1, r0, la\nsw r1, 0x40(r0)\nhalt\n";
+const FETCH_B: &str = "li r2, 50\nlb: addi r2, r2, -1\nbne r2, r0, lb\nsw r2, 0x41(r0)\nhalt\n";
+
+/// Store loops to addresses 0x40 and 0x50, both ≡ 0 (mod 16): the same
+/// data bank.
+const STORE_A: &str =
+    "li r1, 100\nli r3, 7\nla: sw r3, 0x40(r0)\naddi r1, r1, -1\nbne r1, r0, la\nhalt\n";
+const STORE_B: &str =
+    "li r1, 100\nli r3, 9\nlb: sw r3, 0x50(r0)\naddi r1, r1, -1\nbne r1, r0, lb\nhalt\n";
+
+/// A loop whose load feeds the very next instruction.
+const LOAD_USE: &str =
+    "li r1, 20\nlp: lw r2, 0x40(r0)\nadd r3, r2, r2\naddi r1, r1, -1\nbne r1, r0, lp\nhalt\n";
 
 fn multi(sections: Vec<(&str, &str, usize)>, entries: &[(usize, &str)]) -> Platform {
     let mut linker = Linker::new();
@@ -60,12 +75,10 @@ fn trace_mask_excludes_other_cores() {
 /// and both programs must still finish correctly.
 #[test]
 fn same_bank_different_address_fetches_conflict() {
-    let body_a = "li r1, 50\nla: addi r1, r1, -1\nbne r1, r0, la\nsw r1, 0x40(r0)\nhalt\n";
-    let body_b = "li r2, 50\nlb: addi r2, r2, -1\nbne r2, r0, lb\nsw r2, 0x41(r0)\nhalt\n";
     // Both in bank 0, at different offsets.
     let mut linker = Linker::new();
-    linker.add_section(Section::in_bank("a", assemble_text(body_a).unwrap(), 0));
-    linker.add_section(Section::in_bank("b", assemble_text(body_b).unwrap(), 0));
+    linker.add_section(Section::in_bank("a", assemble_text(FETCH_A).unwrap(), 0));
+    linker.add_section(Section::in_bank("b", assemble_text(FETCH_B).unwrap(), 0));
     linker.set_entry(0, "a");
     linker.set_entry(1, "b");
     let image = linker.link().unwrap();
@@ -87,10 +100,10 @@ fn same_bank_different_address_fetches_conflict() {
 /// correctness is preserved through retries.
 #[test]
 fn shared_data_bank_conflicts_retry_correctly() {
-    // Addresses 0x40 and 0x50 are both ≡ 0 (mod 16): same bank.
-    let a = "li r1, 100\nli r3, 7\nla: sw r3, 0x40(r0)\naddi r1, r1, -1\nbne r1, r0, la\nhalt\n";
-    let b = "li r1, 100\nli r3, 9\nlb: sw r3, 0x50(r0)\naddi r1, r1, -1\nbne r1, r0, lb\nhalt\n";
-    let mut p = multi(vec![("a", a, 0), ("b", b, 1)], &[(0, "a"), (1, "b")]);
+    let mut p = multi(
+        vec![("a", STORE_A, 0), ("b", STORE_B, 1)],
+        &[(0, "a"), (1, "b")],
+    );
     assert_eq!(p.run(10_000).unwrap(), RunExit::AllHalted);
     assert!(
         p.stats().dm.conflicts > 0,
@@ -170,4 +183,63 @@ fn watchpoints_stop_on_the_writing_core() {
     // The write itself completed.
     assert_eq!(p.peek_dm(0x61).unwrap(), 9);
     assert_eq!(p.run(1000).unwrap(), RunExit::AllHalted);
+}
+
+/// Every stalled cycle is recorded exactly once in each of the three
+/// places that count stalls: the per-core `SimStats` counters, the
+/// counting sink's per-cause totals and the trace ring.
+#[test]
+fn each_stall_cycle_is_counted_once_in_stats_obs_and_trace() {
+    const RING: usize = 1 << 16;
+    let scenarios: [(&[(&str, usize)], StallCause); 3] = [
+        (&[(FETCH_A, 0), (FETCH_B, 0)], StallCause::ImConflict),
+        (&[(STORE_A, 0), (STORE_B, 1)], StallCause::DmConflict),
+        (&[(LOAD_USE, 0), (LOAD_USE, 1)], StallCause::LoadUseHazard),
+    ];
+    for (programs, expected) in scenarios {
+        for single in [false, true] {
+            let (config, programs) = if single {
+                (PlatformConfig::single_core(), &programs[..1])
+            } else {
+                (PlatformConfig::multi_core(), programs)
+            };
+            let mut linker = Linker::new();
+            for (core, &(src, bank)) in programs.iter().enumerate() {
+                let name = format!("p{core}");
+                let program = assemble_text(src).expect("assembles");
+                linker.add_section(Section::in_bank(name.as_str(), program, bank));
+                linker.set_entry(core, &name);
+            }
+            let mut p = Platform::new(config, &linker.link().expect("links")).expect("builds");
+            p.enable_trace(RING, 0xFF);
+            p.enable_obs(ObsConfig::counting_only());
+            assert_eq!(p.run(100_000).unwrap(), RunExit::AllHalted);
+            p.finish_obs();
+            let trace = p.trace().expect("enabled");
+            assert!(trace.len() < RING, "the ring holds every entry");
+            let counting = p.obs().recorder().and_then(|r| r.counting()).expect("on");
+            for cause in StallCause::ALL {
+                let stats: u64 = p
+                    .stats()
+                    .cores
+                    .iter()
+                    .map(|c| match cause {
+                        StallCause::ImConflict => c.stall_im,
+                        StallCause::DmConflict => c.stall_dm,
+                        StallCause::LoadUseHazard => c.stall_hazard,
+                    })
+                    .sum();
+                let traced = trace
+                    .entries()
+                    .filter(|e| matches!(e, TraceEntry::Stall(s) if s.cause == cause))
+                    .count() as u64;
+                let label = format!("{cause:?}, single core: {single}");
+                assert_eq!(stats, counting.stall_cycles[cause.index()], "{label}");
+                assert_eq!(stats, traced, "{label}");
+                if cause == expected && (!single || cause == StallCause::LoadUseHazard) {
+                    assert!(stats > 0, "the scenario must stall: {label}");
+                }
+            }
+        }
+    }
 }
