@@ -324,14 +324,22 @@ impl Synchronizer {
     /// can treat the error as a detected protocol violation and stop.
     #[inline]
     pub fn commit(&mut self) -> Result<SyncOutcome, SyncError> {
-        // Fast path: nothing was staged this cycle — the overwhelmingly
-        // common case in the simulator's cycle loop. Skips the merge
-        // scratch, whose initialization would dominate idle cycles.
-        // Inlined so the caller's cycle loop pays only the three checks.
-        if self.staged_ops.is_empty() && self.staged_sleeps.is_empty() && self.staged_irqs == 0 {
+        // Nothing staged: skip the merge scratch, whose initialization
+        // would dominate. The empty outcome is still built and returned;
+        // a cycle loop that wants to skip that as well asks
+        // `has_staged` first.
+        if !self.has_staged() {
             return Ok(SyncOutcome::default());
         }
         self.commit_staged()
+    }
+
+    /// Whether any sync op, `SLEEP` request or interrupt was staged since
+    /// the last [`Synchronizer::commit`]. When it is false, a commit
+    /// changes nothing and returns an empty [`SyncOutcome`].
+    #[inline]
+    pub fn has_staged(&self) -> bool {
+        !self.staged_ops.is_empty() || !self.staged_sleeps.is_empty() || self.staged_irqs != 0
     }
 
     fn commit_staged(&mut self) -> Result<SyncOutcome, SyncError> {

@@ -55,17 +55,21 @@ struct Slot {
     bubble: bool,
     /// The core participates in the workload (an entry point was linked).
     present: bool,
+    /// While gated: the first cycle whose gated time is not yet charged
+    /// to the core's `gated_cycles` (see [`Platform::flush_gated`]).
+    gated_since: u64,
 }
 
 /// The word a ready instruction retires with: its loaded value, or
 /// `None` for stores and instructions without a memory operand.
 type Load = Option<u16>;
 
-/// What a slot does with the rest of a cycle once it is accounted.
+/// What an awake slot does with the rest of a cycle once it is
+/// accounted.
 #[derive(Debug, Clone, Copy)]
 enum Issue {
-    /// Absent, halted, gated or in a taken-branch bubble.
-    Idle,
+    /// Spends the cycle in a taken-branch bubble.
+    Bubble,
     /// Fetches its next instruction from this address.
     Fetch(u32),
     /// Still holds an instruction from an earlier cycle.
@@ -146,10 +150,26 @@ pub struct Platform {
     /// Running total of retired instructions across all cores, kept
     /// incrementally so the watchdog check is O(1) per cycle.
     instr_retired: u64,
-    /// The platform may have just become fully idle: set when a core
-    /// sleeps or halts, cleared when an idleness check fails. Lets the
-    /// run loop skip the per-cycle idleness scan in the common case.
-    idle_candidate: bool,
+    /// The cores that clock this cycle, one bit per slot: present, not
+    /// halted, not gated. Changed only at construction, by a `HALT`
+    /// retirement and by the synchronizer's slept and woken sets. The
+    /// drivers step only these slots, and an empty mask means the
+    /// platform is idle.
+    awake: u8,
+    /// Cycles advanced by [`Platform::idle_until`] instead of stepped.
+    fast_forwarded: u64,
+}
+
+/// The indices of the set bits of a core mask, lowest first.
+#[inline(always)]
+fn bits(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            idx
+        })
+    })
 }
 
 impl Platform {
@@ -205,14 +225,18 @@ impl Platform {
                     held: None,
                     bubble: false,
                     present,
+                    gated_since: 0,
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
         let adc = Adc::new(config.adc, Vec::new());
         let stats = SimStats::new(config.cores);
-        let live_count = (0..config.cores)
-            .filter(|&id| image.entry(id).is_some())
-            .count();
+        let awake = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.present)
+            .fold(0u8, |mask, (idx, _)| mask | 1 << idx);
+        let live_count = awake.count_ones() as usize;
         Ok(Platform {
             config,
             atu,
@@ -237,8 +261,8 @@ impl Platform {
             live_count,
             halted_count: 0,
             instr_retired: 0,
-            // Checked (and cleared if false) on the first loop iteration.
-            idle_candidate: true,
+            awake,
+            fast_forwarded: 0,
         })
     }
 
@@ -473,6 +497,14 @@ impl Platform {
         &self.stats
     }
 
+    /// Cycles the clock was advanced without stepping them: the run
+    /// loop's skips over all-gated stretches and explicit
+    /// [`Platform::idle_until`] calls. The remaining
+    /// `stats().cycles - fast_forwarded_cycles()` were stepped.
+    pub fn fast_forwarded_cycles(&self) -> u64 {
+        self.fast_forwarded
+    }
+
     /// The synchronizer (for inspection in tests and harnesses).
     pub fn synchronizer(&self) -> &Synchronizer {
         &self.synchronizer
@@ -572,11 +604,9 @@ impl Platform {
     ///
     /// Returns the first fault or synchronization protocol violation.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
-        if self.slots.len() == 1 {
-            self.run_with(max_cycles, Platform::step_single)
-        } else {
-            self.run_with(max_cycles, Platform::step_arbitrated)
-        }
+        let exit = self.run_with(max_cycles, Platform::step_awake);
+        self.flush_gated();
+        exit
     }
 
     /// The run loop around one cycle driver.
@@ -586,32 +616,23 @@ impl Platform {
         step: impl Fn(&mut Platform) -> Result<(), SimError>,
     ) -> Result<RunExit, SimError> {
         while self.stats.cycles < max_cycles {
+            debug_assert!(self.awake_mask_is_exact());
             if self.halted_count == self.live_count {
                 debug_assert!(self.all_halted());
                 return Ok(RunExit::AllHalted);
             }
             if !self.breakpoints.is_empty() {
-                for slot in &self.slots {
-                    if slot.present
-                        && !slot.core.is_halted()
-                        && !slot.core.is_gated()
-                        && slot.held.is_none()
-                        && self.breakpoints.contains(&slot.core.pc())
-                    {
+                for idx in bits(self.awake) {
+                    let slot = &self.slots[idx];
+                    if slot.held.is_none() && self.breakpoints.contains(&slot.core.pc()) {
                         return Ok(RunExit::Breakpoint {
-                            core: slot.core.id(),
+                            core: idx,
                             pc: slot.core.pc(),
                         });
                     }
                 }
             }
-            // Idleness can only begin on a cycle in which a core slept or
-            // halted; `idle_candidate` tracks that so the scan is skipped
-            // while cores are running.
-            if self.idle_candidate && !self.all_idle() {
-                self.idle_candidate = false;
-            }
-            if self.idle_candidate {
+            if self.awake == 0 {
                 match self.adc.next_tick() {
                     Some(tick) if tick < max_cycles => {
                         if tick > self.stats.cycles {
@@ -657,27 +678,47 @@ impl Platform {
         self.slots.iter().all(|s| !s.present || s.core.is_halted())
     }
 
-    fn all_idle(&self) -> bool {
-        self.slots.iter().all(|s| {
-            !s.present || s.core.is_halted() || (s.core.is_gated() && s.held.is_none() && !s.bubble)
+    /// The awake mask agrees with a scan of the slots (present, not
+    /// halted, not gated), and only awake slots hold an instruction or
+    /// sit in a bubble.
+    fn awake_mask_is_exact(&self) -> bool {
+        self.slots.iter().enumerate().all(|(idx, slot)| {
+            let scanned = slot.present && !slot.core.is_halted() && !slot.core.is_gated();
+            let awake = self.awake & (1 << idx) != 0;
+            scanned == awake && (awake || (slot.held.is_none() && !slot.bubble))
         })
+    }
+
+    /// Charges every gated live core the gated cycles since its last
+    /// charge. Gated time is otherwise charged only when a core wakes, so
+    /// every public entry point that advances the clock ends here to keep
+    /// [`Platform::stats`] exact between calls.
+    fn flush_gated(&mut self) {
+        let now = self.stats.cycles;
+        for (slot, cs) in self.slots.iter_mut().zip(&mut self.stats.cores) {
+            if slot.present && !slot.core.is_halted() && slot.core.is_gated() {
+                cs.gated_cycles += now - slot.gated_since;
+                slot.gated_since = now;
+            }
+        }
     }
 
     /// Advances the platform clock to `target` with every live core
     /// clock-gated — used by harnesses to account a fixed wall-clock
     /// observation window after the workload quiesces (leakage and the
-    /// clock trunk keep accruing).
+    /// clock trunk keep accruing). Awake cores are charged the skipped
+    /// cycles as gated too.
     pub fn idle_until(&mut self, target: u64) {
         if target <= self.stats.cycles {
             return;
         }
         let skip = target - self.stats.cycles;
-        for slot in &self.slots {
-            if slot.present && !slot.core.is_halted() {
-                self.stats.cores[slot.core.id()].gated_cycles += skip;
-            }
+        for idx in bits(self.awake) {
+            self.stats.cores[idx].gated_cycles += skip;
         }
+        self.fast_forwarded += skip;
         self.stats.cycles = target;
+        self.flush_gated();
     }
 
     /// Executes exactly one cycle.
@@ -686,25 +727,37 @@ impl Platform {
     ///
     /// Returns the first fault or synchronization protocol violation.
     pub fn step(&mut self) -> Result<(), SimError> {
-        if self.slots.len() == 1 {
-            self.step_single()
+        let stepped = self.step_awake();
+        self.flush_gated();
+        stepped
+    }
+
+    /// One cycle: the 1-slot instance when at most one core is awake,
+    /// the arbitrated driver otherwise.
+    #[inline(always)]
+    fn step_awake(&mut self) -> Result<(), SimError> {
+        if self.awake & self.awake.wrapping_sub(1) == 0 {
+            self.step_lone()
         } else {
             self.step_arbitrated()
         }
     }
 
-    /// One cycle of the stage pipeline for any number of slots: the
-    /// slots' requests are gathered into the scratch buffers, the
-    /// crossbars arbitrate them, and each grant is applied in request
-    /// order. A decoder serves only a lone core, whose single request
-    /// [`arbitrate_into`] always grants.
+    /// One cycle of the stage pipeline for any number of awake slots:
+    /// their requests are gathered into the scratch buffers in slot
+    /// order, the crossbars arbitrate them, and each grant is applied in
+    /// request order. A decoder serves only a lone core, whose single
+    /// request [`arbitrate_into`] always grants.
     fn step_arbitrated(&mut self) -> Result<(), SimError> {
         let cycle = self.stats.cycles;
         let broadcast = self.config.broadcast;
         self.tick_adc(cycle);
+        // Only retirement and commit (stages 6 and 7) change the mask,
+        // so this snapshot holds for the gathering stages.
+        let awake = self.awake;
 
         self.scratch.fetch_reqs.clear();
-        for idx in 0..self.slots.len() {
+        for idx in bits(awake) {
             if let Issue::Fetch(pc) = self.issue(cycle, idx)? {
                 self.scratch.fetch_reqs.push(Request {
                     core: idx,
@@ -726,13 +779,10 @@ impl Platform {
             self.fetch(cycle, req.core, req.addr, self.scratch.fetch_grants[i])?;
         }
 
-        // A slot holds an instruction only between its fetch and its
-        // retirement, so every holder is present, unhalted and ungated:
-        // gating and halting both follow a retirement.
         self.scratch.ready.clear();
         self.scratch.dm_reqs.clear();
         self.scratch.dm_meta.clear();
-        for idx in 0..self.slots.len() {
+        for idx in bits(awake) {
             if self.slots[idx].held.is_none() {
                 continue;
             }
@@ -777,29 +827,33 @@ impl Platform {
         self.commit(cycle)
     }
 
-    /// The same pipeline for a lone slot. A single request always wins
-    /// its bank, so gathering and arbitration collapse into an implicit
-    /// [`Grant::Access`] and no scratch buffer is touched. The stages
-    /// are `#[inline(always)]` so that this constant grant folds away:
-    /// left to the inliner, single-core throughput dropped by about a
-    /// quarter on a 2-vCPU x86-64 host.
-    fn step_single(&mut self) -> Result<(), SimError> {
+    /// The same pipeline for at most one awake slot. A lone request
+    /// always wins its bank, so gathering and arbitration collapse into
+    /// an implicit [`Grant::Access`] and no scratch buffer is touched.
+    /// The stages are `#[inline(always)]` so that this constant grant
+    /// folds away: left to the inliner, single-core throughput dropped
+    /// by about a quarter on a 2-vCPU x86-64 host.
+    fn step_lone(&mut self) -> Result<(), SimError> {
         let cycle = self.stats.cycles;
         self.tick_adc(cycle);
         'slot: {
-            match self.issue(cycle, 0)? {
-                Issue::Idle => break 'slot,
-                Issue::Fetch(pc) => self.fetch(cycle, 0, pc, Grant::Access)?,
+            if self.awake == 0 {
+                break 'slot;
+            }
+            let idx = self.awake.trailing_zeros() as usize;
+            match self.issue(cycle, idx)? {
+                Issue::Bubble => break 'slot,
+                Issue::Fetch(pc) => self.fetch(cycle, idx, pc, Grant::Access)?,
                 Issue::Held => {}
             }
-            let load = match self.resolve(cycle, 0)? {
+            let load = match self.resolve(cycle, idx)? {
                 Resolved::Hazard => break 'slot,
                 Resolved::Ready(load) => load,
                 Resolved::Dm(access) => self
                     .dm_grant(cycle, access, Grant::Access)
                     .expect("a granted access completes"),
             };
-            self.retire(cycle, 0, load)?;
+            self.retire(cycle, idx, load)?;
         }
         self.commit(cycle)
     }
@@ -832,19 +886,13 @@ impl Platform {
         self.stats.adc_overruns = self.adc.overruns();
     }
 
-    /// Stage 2: cycle accounting for one slot, and what it does with the
-    /// rest of the cycle.
+    /// Stage 2: cycle accounting for one awake slot, and what it does
+    /// with the rest of the cycle.
     #[inline(always)]
     fn issue(&mut self, cycle: u64, idx: usize) -> Result<Issue, SimError> {
         let slot = &mut self.slots[idx];
-        if !slot.present || slot.core.is_halted() {
-            return Ok(Issue::Idle);
-        }
+        debug_assert!(self.awake & (1 << idx) != 0, "only awake slots issue");
         let cs = &mut self.stats.cores[idx];
-        if slot.core.is_gated() {
-            cs.gated_cycles += 1;
-            return Ok(Issue::Idle);
-        }
         cs.active_cycles += 1;
         cs.window_active += 1;
         let pc = slot.core.pc();
@@ -853,7 +901,7 @@ impl Platform {
             slot.bubble = false;
             cs.bubbles += 1;
             self.obs.bubble(cycle, idx);
-            return Ok(Issue::Idle);
+            return Ok(Issue::Bubble);
         }
         if slot.held.is_some() {
             return Ok(Issue::Held);
@@ -1033,7 +1081,7 @@ impl Platform {
             Retire::Next => {}
             Retire::Halt => {
                 self.halted_count += 1;
-                self.idle_candidate = true;
+                self.awake &= !(1 << idx);
             }
             Retire::Taken => slot.bubble = true,
             Retire::Sync { kind, point } => {
@@ -1048,26 +1096,43 @@ impl Platform {
     }
 
     /// Stage 7: the synchronizer commit (gating and wake-up), which ends
-    /// the cycle.
+    /// the cycle. A cycle that staged no sync op, sleep request or
+    /// interrupt only advances the clock.
     #[inline(always)]
     fn commit(&mut self, cycle: u64) -> Result<(), SimError> {
+        if self.synchronizer.has_staged() {
+            self.commit_staged(cycle)?;
+        }
+        self.stats.cycles += 1;
+        Ok(())
+    }
+
+    /// Applies a staged synchronizer cycle: gates the slept cores, wakes
+    /// the woken ones and charges them their gated interval.
+    #[inline(never)]
+    fn commit_staged(&mut self, cycle: u64) -> Result<(), SimError> {
         let outcome = self.synchronizer.commit()?;
         self.obs.sync_outcome(cycle, &outcome);
         self.stats.sync_region_writes += outcome.memory_writes as u64;
-        if !outcome.slept.is_empty() {
-            self.idle_candidate = true;
-        }
         for core in outcome.slept.iter() {
-            self.slots[core.index()].core.set_gated(true);
+            let idx = core.index();
+            let slot = &mut self.slots[idx];
+            slot.core.set_gated(true);
+            // Gated from the next cycle on.
+            slot.gated_since = cycle + 1;
+            self.awake &= !(1 << idx);
         }
         for core in outcome.woken.iter() {
-            let slot = &mut self.slots[core.index()];
+            let idx = core.index();
+            let slot = &mut self.slots[idx];
             slot.core.set_gated(false);
             // Invariant guard: a load retired just before a sleep must
             // not charge the first post-wake instruction a hazard stall.
             slot.core.clear_hazard();
+            // This cycle was the last gated one.
+            self.stats.cores[idx].gated_cycles += cycle + 1 - slot.gated_since;
+            self.awake |= 1 << idx;
         }
-        self.stats.cycles += 1;
         Ok(())
     }
 
@@ -1462,9 +1527,86 @@ mod tests {
         }
     }
 
+    /// A benchmark image from `wbsn-kernels`, instantiated on this
+    /// crate's `Platform`, with `seconds` of synthetic ECG on its ADC.
+    /// `wbsn-kernels` links its own copy of this crate, so the
+    /// configuration is carried over field by field and checked through
+    /// its `Debug` form. Returns the platform and the cycle of the
+    /// window's last sample.
+    fn kernel_platform(app: &wbsn_kernels::BuiltApp, seconds: f64) -> (Platform, u64) {
+        use wbsn_dsp::ecg::{synthesize, EcgConfig};
+        let theirs = &app.config;
+        let config = PlatformConfig {
+            cores: theirs.cores,
+            interconnect: if theirs.cores == 1 {
+                InterconnectKind::Decoder
+            } else {
+                InterconnectKind::Crossbar
+            },
+            broadcast: theirs.broadcast,
+            shared_words: theirs.shared_words,
+            forwarding: theirs.forwarding,
+            sync_points: theirs.sync_points,
+            sync_base: theirs.sync_base,
+            adc: crate::AdcConfig {
+                channels: theirs.adc.channels,
+                period_cycles: theirs.adc.period_cycles,
+                start_cycle: theirs.adc.start_cycle,
+            },
+        };
+        assert_eq!(format!("{config:?}"), format!("{theirs:?}"));
+        let mut p = Platform::new(config, &app.image).expect("platform builds");
+        for &(point, count, participants) in &app.preloads {
+            p.preload_barrier(point, count, participants).unwrap();
+        }
+        let leads = synthesize(&EcgConfig {
+            duration_s: seconds,
+            ..EcgConfig::healthy_60s()
+        })
+        .leads;
+        let end = theirs.adc.start_cycle + leads[0].len() as u64 * theirs.adc.period_cycles;
+        p.set_adc_streams(leads);
+        (p, end)
+    }
+
+    /// Runs a platform from `make` to `max_cycles` through the N-slot
+    /// driver alone and through the dispatching driver (which takes the
+    /// 1-slot instance whenever at most one core is awake), and asserts
+    /// the same exit, stats, trace (stalls included) and data memory.
+    fn assert_drivers_agree(label: &str, max_cycles: u64, make: impl Fn() -> Platform) -> RunExit {
+        const RING: usize = 1 << 18;
+        let twins = [
+            Platform::step_arbitrated as fn(&mut Platform) -> Result<(), SimError>,
+            Platform::step_awake,
+        ]
+        .map(|driver| {
+            let mut p = make();
+            p.enable_trace(RING, 0xFF);
+            let exit = p.run_with(max_cycles, driver).unwrap();
+            p.flush_gated();
+            (p, exit)
+        });
+        let [(general, general_exit), (awake, awake_exit)] = twins;
+        assert_eq!(general_exit, awake_exit, "{label}");
+        assert_eq!(general.stats(), awake.stats(), "{label}");
+        let entries = |p: &Platform| p.trace().unwrap().entries().copied().collect::<Vec<_>>();
+        assert!(
+            general.trace().unwrap().len() < RING,
+            "{label}: ring holds every entry"
+        );
+        assert_eq!(entries(&general), entries(&awake), "{label}");
+        for bank in 0..wbsn_isa::DM_BANKS {
+            for row in 0..wbsn_isa::DM_BANK_WORDS {
+                let loc = DmLocation { bank, row };
+                assert_eq!(general.dm.read(loc), awake.dm.read(loc), "{label}");
+            }
+        }
+        general_exit
+    }
+
     /// The 1-slot instance must stay an instance: the arbitrated driver
-    /// runs the same single-core programs to the same stats, trace
-    /// (stalls included) and data memory.
+    /// runs the same single-core programs to the same stats, trace and
+    /// data memory.
     #[test]
     fn both_cycle_drivers_agree_on_single_core_programs() {
         type Setup = fn(&mut Platform);
@@ -1478,28 +1620,80 @@ mod tests {
             (SYNC_READ, |p| p.preload_sync_point(0, 3, false).unwrap()),
         ];
         for (asm, setup) in cases {
-            let twins = [
-                Platform::step_arbitrated as fn(&mut Platform) -> Result<(), SimError>,
-                Platform::step_single,
-            ]
-            .map(|driver| {
+            let exit = assert_drivers_agree(asm, 100_000, || {
                 let mut p = single_core_platform(asm);
                 setup(&mut p);
-                p.enable_trace(4096, 0xFF);
-                let exit = p.run_with(100_000, driver).unwrap();
-                (p, exit)
+                p
             });
-            let [(general, general_exit), (single, single_exit)] = twins;
-            assert_eq!(general_exit, RunExit::AllHalted, "{asm}");
-            assert_eq!(general_exit, single_exit, "{asm}");
-            assert_eq!(general.stats(), single.stats(), "{asm}");
-            let entries = |p: &Platform| p.trace().unwrap().entries().copied().collect::<Vec<_>>();
-            assert_eq!(entries(&general), entries(&single), "{asm}");
-            for bank in 0..wbsn_isa::DM_BANKS {
-                for row in 0..wbsn_isa::DM_BANK_WORDS {
-                    let loc = DmLocation { bank, row };
-                    assert_eq!(general.dm.read(loc), single.dm.read(loc), "{asm}");
+            assert_eq!(exit, RunExit::AllHalted, "{asm}");
+        }
+    }
+
+    /// Multi-core programs in which all but one core sleep and then wake
+    /// move between the N-slot driver and the 1-slot instance; both
+    /// routes must end in the same state as the N-slot driver alone.
+    #[test]
+    fn both_cycle_drivers_agree_when_cores_sleep_and_wake() {
+        let pair = || {
+            let producer = assemble_text("sinc 0\nsdec 0\nhalt\n").unwrap();
+            let consumer = assemble_text("snop 0\nsleep\nhalt\n").unwrap();
+            let mut linker = Linker::new();
+            linker.add_section(Section::in_bank("producer", producer, 0));
+            linker.add_section(Section::in_bank("consumer", consumer, 1));
+            linker.set_entry(0, "producer");
+            linker.set_entry(1, "consumer");
+            Platform::new(PlatformConfig::multi_core(), &linker.link().unwrap()).unwrap()
+        };
+        let exit = assert_drivers_agree("producer/consumer", 100_000, pair);
+        assert_eq!(exit, RunExit::AllHalted);
+
+        let options = wbsn_kernels::BuildOptions::default();
+        let mf = wbsn_kernels::build_mf(wbsn_kernels::Arch::MultiCore, &options).unwrap();
+        let (_, end) = kernel_platform(&mf, 0.1);
+        let exit = assert_drivers_agree("3-lead MF, 0.1 s", end, || kernel_platform(&mf, 0.1).0);
+        assert_eq!(exit, RunExit::Quiescent, "the ADC stream ran out");
+    }
+
+    /// Steps every benchmark on the single-core, hardware-sync and
+    /// busy-wait platforms for 0.2 s with [`Platform::step`] (no
+    /// fast-forward) and checks the awake mask after every cycle.
+    #[test]
+    fn awake_mask_tracks_every_cycle_of_every_benchmark() {
+        use wbsn_kernels::{Arch, BuildOptions, SyncApproach};
+        let params = wbsn_kernels::ClassifierParams::default_trained();
+        let platforms = [
+            (Arch::SingleCore, SyncApproach::Hardware),
+            (Arch::MultiCore, SyncApproach::Hardware),
+            (Arch::MultiCore, SyncApproach::BusyWait),
+        ];
+        for (arch, approach) in platforms {
+            let options = BuildOptions {
+                approach,
+                // 2 MHz at 250 Hz: every benchmark keeps up on one core.
+                adc_period_cycles: 8000,
+                ..BuildOptions::default()
+            };
+            let apps = [
+                wbsn_kernels::build_mf(arch, &options).unwrap(),
+                wbsn_kernels::build_mmd(arch, &options).unwrap(),
+                wbsn_kernels::build_rpclass(arch, &options, &params).unwrap(),
+            ];
+            for app in &apps {
+                let (mut p, end) = kernel_platform(app, 0.2);
+                let mut slept = false;
+                while p.stats().cycles < end {
+                    p.step().unwrap();
+                    assert!(
+                        p.awake_mask_is_exact(),
+                        "{} {arch:?} {approach:?}: mask {:#010b} at cycle {}",
+                        app.name,
+                        p.awake,
+                        p.stats().cycles
+                    );
+                    slept |= p.awake.count_ones() < app.active_cores as u32;
                 }
+                let gated: u64 = p.stats().cores.iter().map(|c| c.gated_cycles).sum();
+                assert_eq!(slept, gated > 0, "{} {arch:?} {approach:?}", app.name);
             }
         }
     }
