@@ -16,7 +16,9 @@
 //!   * `ablations`, `sensitivity` — the DESIGN.md studies.
 //!   * `sweep` — the stand-alone sweep driver CLI.
 //!
-//! Criterion micro-benchmarks for the substrates live under `benches/`.
+//! Host-side timing of this harness lives in the stand-alone `wbsnbench`
+//! package (medians over repeated runs, outputs checked), and
+//! `examples/sim_throughput.rs` is the quick interpreter probe.
 
 pub mod cache;
 pub mod experiment;

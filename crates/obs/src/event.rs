@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use wbsn_isa::{PhaseTable, SyncKind, NO_PHASE};
+use wbsn_isa::{Instr, PhaseTable, SyncKind, NO_PHASE};
 
 /// Why a core failed to retire on a given cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +193,27 @@ pub enum Event {
         /// Run length in cycles.
         len: u64,
     },
+    /// A core retired an instruction. Kept in the recorder's ring only;
+    /// no sink sees it.
+    Retire {
+        /// The retiring core.
+        core: u8,
+        /// Program counter of the instruction.
+        pc: u32,
+        /// The decoded instruction.
+        instr: Instr,
+    },
+    /// A core failed to retire on this cycle. Kept in the recorder's
+    /// ring only; the sinks see the whole run as one
+    /// [`Event::StallRun`].
+    Stall {
+        /// The stalled core.
+        core: u8,
+        /// Program counter the core was held at.
+        pc: u32,
+        /// Why it could not retire.
+        cause: StallCause,
+    },
 }
 
 /// An event with its cycle stamp — what the recorder's ring holds.
@@ -276,6 +297,8 @@ impl Event {
             Event::StallRun { core, cause, len } => {
                 format!("core{core} stalled {len} cycles ({cause})")
             }
+            Event::Retire { core, pc, instr } => format!("core{core} {pc:#06x}: {instr}"),
+            Event::Stall { core, pc, cause } => format!("core{core} {pc:#06x}: ~~ stall ({cause})"),
         }
     }
 }
@@ -297,6 +320,21 @@ mod tests {
             len: 4,
         };
         assert!(e.render(None).contains("im-conflict"));
+        let e = Event::Retire {
+            core: 0,
+            pc: 5,
+            instr: Instr::Sync {
+                kind: SyncKind::Dec,
+                point: 0,
+            },
+        };
+        assert_eq!(e.render(None), "core0 0x0005: sdec 0");
+        let e = Event::Stall {
+            core: 2,
+            pc: 0x42,
+            cause: StallCause::LoadUseHazard,
+        };
+        assert_eq!(e.render(None), "core2 0x0042: ~~ stall (load-use)");
         let e = Event::Phase(PhaseEvent::Enter { core: 0, phase: 2 });
         assert_eq!(e.render(None), "core0 entered phase phase2");
         let e = Event::Phase(PhaseEvent::Exit {

@@ -11,12 +11,18 @@
 //!   phase executing at retirement;
 //! * [`TraceJsonSink`] — a Chrome/Perfetto `trace_event` timeline.
 //!
+//! The recorder also keeps the most recent events in a bounded ring
+//! ([`ObsConfig::ring`]): the emitted events interleaved with every
+//! retirement ([`Event::Retire`]) and stalled cycle ([`Event::Stall`]),
+//! which only the ring holds. It is the simulator's single
+//! instruction-level trace and the tail of a watchdog post-mortem.
+//!
 //! The simulator talks to the layer through [`Obs`], whose hooks are
 //! `#[inline]`. Disabled, every hook is a `None` check. With only the
-//! counting sink, the hooks that feed just the profiler, timeline, ring
-//! or extra sinks return on a flag kept in the handle, but retirements,
-//! stalls and synchronizer outcomes still reach the recorder: counting
-//! is not free. On `table1` of the repository's benchmark, run time with
+//! counting sink, the hooks that feed just the profiler, timeline or
+//! ring return on a flag kept in the handle, but retirements, stalls
+//! and synchronizer outcomes still reach the recorder: counting is not
+//! free. On `table1` of the repository's benchmark, run time with
 //! counting over run time without (`obs.overhead_ratio`) measured about
 //! 1.08 on a 2-vCPU x86-64 host. Construct a recorder with
 //! [`ObsConfig`] and [`Obs::enable`].
@@ -40,7 +46,7 @@ pub use profile::{PhaseCounters, PhaseProfiler, PhaseRow, UNMAPPED_PHASE};
 pub use sink::EventSink;
 
 use wbsn_core::{SyncOutcome, MAX_CORES};
-use wbsn_isa::{PhaseTable, SyncKind, NO_PHASE};
+use wbsn_isa::{Instr, PhaseTable, SyncKind, NO_PHASE};
 
 /// What to record.
 #[derive(Debug, Clone, Default)]
@@ -51,8 +57,8 @@ pub struct ObsConfig {
     pub profile: bool,
     /// Run the [`TraceJsonSink`].
     pub trace: bool,
-    /// Keep the most recent events in a ring of this capacity (0
-    /// disables the ring).
+    /// Keep the most recent events, retirements and stalled cycles in a
+    /// ring of this capacity (0 disables the ring).
     pub ring: usize,
     /// Phase table for pc → phase attribution. Without it, profiling
     /// and phase slices collapse into the unmapped phase.
@@ -87,11 +93,14 @@ impl ObsConfig {
     }
 }
 
+/// Up-front reservation cap of the ring: a large capacity grows on
+/// demand instead of being allocated whole.
+const RING_RESERVE: usize = 1 << 20;
+
 /// The live recorder behind an enabled [`Obs`] handle.
 pub struct ObsCore {
     cores: usize,
     phases: Option<PhaseTable>,
-    track_phases: bool,
     cur_phase: [u16; MAX_CORES],
     stall_len: [u64; MAX_CORES],
     stall_cause: [StallCause; MAX_CORES],
@@ -102,7 +111,6 @@ pub struct ObsCore {
     counting: Option<CountingSink>,
     profiler: Option<PhaseProfiler>,
     trace: Option<TraceJsonSink>,
-    extra: Vec<Box<dyn EventSink + Send>>,
     ring: VecDeque<TimedEvent>,
     ring_capacity: usize,
     finished: bool,
@@ -116,14 +124,14 @@ impl fmt::Debug for ObsCore {
             .field("profile", &self.profiler.is_some())
             .field("trace", &self.trace.is_some())
             .field("ring_capacity", &self.ring_capacity)
-            .field("extra_sinks", &self.extra.len())
             .finish()
     }
 }
 
 impl ObsCore {
-    /// A recorder for `cores` cores.
-    pub fn new(cores: usize, config: ObsConfig) -> ObsCore {
+    /// A recorder for `cores` cores. Only [`Obs::enable`] builds one, so
+    /// the per-cycle hooks run only when [`Obs`] lets them through.
+    fn new(cores: usize, config: ObsConfig) -> ObsCore {
         let cores = cores.min(MAX_CORES);
         let names: Vec<String> = config
             .phases
@@ -134,10 +142,8 @@ impl ObsCore {
             .profile
             .then(|| PhaseProfiler::new(cores, names.clone()));
         let trace = config.trace.then(|| TraceJsonSink::new(names));
-        let track_phases = config.per_cycle();
         ObsCore {
             cores,
-            track_phases,
             cur_phase: [NO_PHASE; MAX_CORES],
             stall_len: [0; MAX_CORES],
             stall_cause: [StallCause::ImConflict; MAX_CORES],
@@ -148,34 +154,32 @@ impl ObsCore {
             counting: config.counting.then(CountingSink::new),
             profiler,
             trace,
-            extra: Vec::new(),
-            ring: VecDeque::with_capacity(config.ring),
+            ring: VecDeque::with_capacity(config.ring.min(RING_RESERVE)),
             ring_capacity: config.ring,
             phases: config.phases,
             finished: false,
         }
     }
 
-    /// Attaches a caller-provided sink.
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink + Send>) {
-        self.extra.push(sink);
-    }
-
+    /// Keeps `event` in the ring, evicting the oldest entry when full.
     #[inline]
-    fn emit(&mut self, cycle: u64, event: Event) {
+    fn record(&mut self, cycle: u64, event: Event) {
         if self.ring_capacity > 0 {
             if self.ring.len() == self.ring_capacity {
                 self.ring.pop_front();
             }
             self.ring.push_back(TimedEvent { cycle, event });
         }
+    }
+
+    /// Records `event` in the ring and hands it to the sinks.
+    #[inline]
+    fn emit(&mut self, cycle: u64, event: Event) {
+        self.record(cycle, event);
         if let Some(sink) = &mut self.counting {
             sink.on_event(cycle, &event);
         }
         if let Some(sink) = &mut self.trace {
-            sink.on_event(cycle, &event);
-        }
-        for sink in &mut self.extra {
             sink.on_event(cycle, &event);
         }
     }
@@ -194,30 +198,28 @@ impl ObsCore {
     /// it is about to execute.
     #[inline]
     pub fn active_cycle(&mut self, cycle: u64, core: usize, pc: u32) {
-        if self.track_phases {
-            let phase = self.phases.as_ref().map_or(NO_PHASE, |t| t.phase_at(pc));
-            if phase != self.cur_phase[core] {
-                let old = self.cur_phase[core];
-                if old != NO_PHASE {
-                    self.emit(
-                        cycle,
-                        Event::Phase(PhaseEvent::Exit {
-                            core: core as u8,
-                            phase: old,
-                        }),
-                    );
-                }
-                if phase != NO_PHASE {
-                    self.emit(
-                        cycle,
-                        Event::Phase(PhaseEvent::Enter {
-                            core: core as u8,
-                            phase,
-                        }),
-                    );
-                }
-                self.cur_phase[core] = phase;
+        let phase = self.phases.as_ref().map_or(NO_PHASE, |t| t.phase_at(pc));
+        if phase != self.cur_phase[core] {
+            let old = self.cur_phase[core];
+            if old != NO_PHASE {
+                self.emit(
+                    cycle,
+                    Event::Phase(PhaseEvent::Exit {
+                        core: core as u8,
+                        phase: old,
+                    }),
+                );
             }
+            if phase != NO_PHASE {
+                self.emit(
+                    cycle,
+                    Event::Phase(PhaseEvent::Enter {
+                        core: core as u8,
+                        phase,
+                    }),
+                );
+            }
+            self.cur_phase[core] = phase;
         }
         if self.profiler.is_some() {
             let slot = self.slot(self.cur_phase[core]);
@@ -227,15 +229,24 @@ impl ObsCore {
         }
     }
 
-    /// One stall cycle on `core`. Consecutive stalls with the same
-    /// cause accumulate into a single run, emitted when the run ends.
+    /// One stall cycle on `core`, held at `pc`. Consecutive stalls with
+    /// the same cause accumulate into a single run, emitted when the run
+    /// ends; the ring also keeps the cycle itself.
     #[inline]
-    pub fn stall(&mut self, cycle: u64, core: usize, cause: StallCause) {
+    pub fn stall(&mut self, cycle: u64, core: usize, pc: u32, cause: StallCause) {
         if self.stall_len[core] > 0 && self.stall_cause[core] != cause {
             self.flush_stall(core, cycle);
         }
         self.stall_cause[core] = cause;
         self.stall_len[core] += 1;
+        self.record(
+            cycle,
+            Event::Stall {
+                core: core as u8,
+                pc,
+                cause,
+            },
+        );
         if self.profiler.is_some() {
             let slot = self.slot(self.cur_phase[core]);
             if let Some(p) = &mut self.profiler {
@@ -255,13 +266,21 @@ impl ObsCore {
         }
     }
 
-    /// `core` retired an instruction this cycle; any open stall run has
-    /// therefore ended.
+    /// `core` retired `instr` from `pc` this cycle; any open stall run
+    /// has therefore ended.
     #[inline]
-    pub fn retire(&mut self, cycle: u64, core: usize) {
+    pub fn retire(&mut self, cycle: u64, core: usize, pc: u32, instr: Instr) {
         if self.stall_len[core] > 0 {
             self.flush_stall(core, cycle);
         }
+        self.record(
+            cycle,
+            Event::Retire {
+                core: core as u8,
+                pc,
+                instr,
+            },
+        );
         if self.profiler.is_some() {
             let slot = self.slot(self.cur_phase[core]);
             if let Some(p) = &mut self.profiler {
@@ -457,9 +476,6 @@ impl ObsCore {
         if let Some(sink) = &mut self.trace {
             sink.finish(cycle);
         }
-        for sink in &mut self.extra {
-            sink.finish(cycle);
-        }
     }
 
     /// The counting sink, if enabled.
@@ -488,12 +504,12 @@ impl ObsCore {
         self.phases.as_ref()
     }
 
-    /// The retained event ring, oldest first.
+    /// The retained ring, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
         self.ring.iter()
     }
 
-    /// The last `n` ring events rendered as `[cycle] description`
+    /// The last `n` ring entries rendered as `[cycle] description`
     /// lines, oldest first.
     pub fn tail_rendered(&self, n: usize) -> Vec<String> {
         let skip = self.ring.len().saturating_sub(n);
@@ -511,7 +527,7 @@ impl ObsCore {
 pub struct Obs {
     core: Option<Box<ObsCore>>,
     /// A consumer of per-cycle detail is attached: the profiler, the
-    /// timeline, the ring or an extra sink. Without one, the per-cycle
+    /// timeline or the ring. Without one, the per-cycle
     /// hooks (`active_cycle`, `bubble`, `sleep_op`, `im_access`,
     /// `dm_access`) return at once, since the counting sink ignores
     /// what they feed. Kept in the handle so that those hooks test it
@@ -567,14 +583,6 @@ impl Obs {
         self.core.as_deref()
     }
 
-    /// Attaches a caller-provided sink (no-op when disabled).
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink + Send>) {
-        if let Some(core) = &mut self.core {
-            core.add_sink(sink);
-            self.detail = true;
-        }
-    }
-
     forward!(
         detail
         /// See [`ObsCore::active_cycle`].
@@ -582,7 +590,7 @@ impl Obs {
     );
     forward!(
         /// See [`ObsCore::stall`].
-        stall(cycle: u64, core: usize, cause: StallCause)
+        stall(cycle: u64, core: usize, pc: u32, cause: StallCause)
     );
     forward!(
         detail
@@ -591,7 +599,7 @@ impl Obs {
     );
     forward!(
         /// See [`ObsCore::retire`].
-        retire(cycle: u64, core: usize)
+        retire(cycle: u64, core: usize, pc: u32, instr: Instr)
     );
     forward!(
         /// See [`ObsCore::sync_op`].
@@ -658,8 +666,8 @@ mod tests {
         let mut obs = Obs::off();
         assert!(!obs.enabled());
         obs.active_cycle(0, 0, 0);
-        obs.stall(1, 0, StallCause::ImConflict);
-        obs.retire(2, 0);
+        obs.stall(1, 0, 0, StallCause::ImConflict);
+        obs.retire(2, 0, 0, Instr::Nop);
         obs.finish(3);
         assert!(obs.recorder().is_none());
     }
@@ -717,10 +725,10 @@ mod tests {
                 ..ObsConfig::default()
             },
         );
-        obs.stall(5, 0, StallCause::DmConflict);
-        obs.stall(6, 0, StallCause::DmConflict);
-        obs.stall(7, 0, StallCause::LoadUseHazard);
-        obs.retire(8, 0);
+        obs.stall(5, 0, 0x10, StallCause::DmConflict);
+        obs.stall(6, 0, 0x10, StallCause::DmConflict);
+        obs.stall(7, 0, 0x10, StallCause::LoadUseHazard);
+        obs.retire(8, 0, 0x10, Instr::Nop);
         obs.finish(9);
 
         let rec = obs.recorder().unwrap();
@@ -767,19 +775,9 @@ mod tests {
     }
 
     /// Counting alone skips the per-cycle hooks, yet summarizes exactly
-    /// what a recorder with per-cycle consumers summarizes; a sink added
-    /// later switches the hooks back on.
+    /// what a recorder with per-cycle consumers summarizes.
     #[test]
     fn per_cycle_hooks_run_only_for_their_consumers() {
-        use std::sync::{Arc, Mutex};
-
-        struct Collect(Arc<Mutex<Vec<Event>>>);
-        impl EventSink for Collect {
-            fn on_event(&mut self, _cycle: u64, event: &Event) {
-                self.0.lock().unwrap().push(*event);
-            }
-        }
-
         let feed = |obs: &mut Obs| {
             let slept = SyncOutcome {
                 slept: CoreSet::from_bits(0b10),
@@ -788,9 +786,9 @@ mod tests {
             obs.active_cycle(1, 0, 0x40);
             obs.im_access(1, 3);
             obs.dm_access(1, 2);
-            obs.stall(2, 0, StallCause::DmConflict);
-            obs.stall(3, 0, StallCause::DmConflict);
-            obs.retire(4, 0);
+            obs.stall(2, 0, 0x40, StallCause::DmConflict);
+            obs.stall(3, 0, 0x40, StallCause::DmConflict);
+            obs.retire(4, 0, 0x40, Instr::Nop);
             obs.bubble(5, 0);
             obs.sync_op(6, 1, SyncKind::Nop, 4);
             obs.sleep_op(7, 1);
@@ -808,15 +806,90 @@ mod tests {
         assert_eq!(counting.sleep_count, 1);
         assert_eq!(counting.stall_dm_cycles, 2);
         assert_eq!(counting, summary(ObsConfig::full(None)));
+    }
 
-        let seen = Arc::new(Mutex::new(Vec::new()));
+    /// The ring keeps the newest `ring` entries of every kind, and a
+    /// zero-capacity ring keeps nothing.
+    #[test]
+    fn ring_keeps_the_newest_retirements_stalls_and_events() {
+        let ring = |capacity: usize| {
+            let mut obs = Obs::off();
+            obs.enable(
+                2,
+                ObsConfig {
+                    ring: capacity,
+                    ..ObsConfig::default()
+                },
+            );
+            obs.retire(1, 0, 0x40, Instr::Nop);
+            obs.stall(2, 1, 0x80, StallCause::ImConflict);
+            obs.retire(3, 1, 0x80, Instr::Sleep);
+            obs.sync_op(4, 0, SyncKind::Dec, 2);
+            obs.stall(5, 0, 0x41, StallCause::LoadUseHazard);
+            obs.retire(6, 0, 0x41, Instr::Halt);
+            let rec = obs.recorder().unwrap();
+            rec.events().copied().collect::<Vec<_>>()
+        };
+        assert!(ring(0).is_empty());
+        let stall_run = Event::StallRun {
+            core: 0,
+            cause: StallCause::LoadUseHazard,
+            len: 1,
+        };
+        assert_eq!(
+            ring(3),
+            vec![
+                TimedEvent {
+                    cycle: 5,
+                    event: Event::Stall {
+                        core: 0,
+                        pc: 0x41,
+                        cause: StallCause::LoadUseHazard
+                    }
+                },
+                TimedEvent {
+                    cycle: 6,
+                    event: stall_run
+                },
+                TimedEvent {
+                    cycle: 6,
+                    event: Event::Retire {
+                        core: 0,
+                        pc: 0x41,
+                        instr: Instr::Halt
+                    }
+                },
+            ]
+        );
+        let all = ring(64);
+        assert_eq!(all.len(), 8, "{all:?}");
+        assert!(all.contains(&TimedEvent {
+            cycle: 4,
+            event: Event::Sync(SyncEvent::OpRetired {
+                core: 0,
+                kind: SyncKind::Dec,
+                point: 2,
+                since_last: None
+            })
+        }));
+    }
+
+    /// A ring far larger than the run reserves a bounded buffer and
+    /// grows on demand.
+    #[test]
+    fn huge_ring_reserves_a_bounded_buffer() {
         let mut obs = Obs::off();
-        obs.enable(2, ObsConfig::counting_only());
-        obs.add_sink(Box::new(Collect(Arc::clone(&seen))));
-        feed(&mut obs);
-        let seen = seen.lock().unwrap();
-        assert!(seen.contains(&Event::Power(PowerEvent::ImBankOn { bank: 3 })));
-        assert!(seen.contains(&Event::Power(PowerEvent::DmBankOn { bank: 2 })));
+        obs.enable(
+            1,
+            ObsConfig {
+                ring: 4_000_000_000,
+                ..ObsConfig::default()
+            },
+        );
+        let rec = obs.recorder().unwrap();
+        assert!(rec.ring.capacity() <= 2 * RING_RESERVE);
+        obs.retire(1, 0, 0, Instr::Nop);
+        assert_eq!(obs.recorder().unwrap().events().count(), 1);
     }
 
     #[test]

@@ -4,11 +4,12 @@ use crate::event::Event;
 
 /// A consumer of the recorder's event stream.
 ///
-/// Sinks receive every event the recorder emits, in cycle order. The
-/// built-in sinks ([`CountingSink`](crate::CountingSink),
-/// [`TraceJsonSink`](crate::TraceJsonSink)) implement this; callers can
-/// attach their own through
-/// [`Obs::add_sink`](crate::Obs::add_sink).
+/// Sinks receive every event the recorder emits, in cycle order; the
+/// ring-only [`Event::Retire`] and [`Event::Stall`] entries never reach
+/// them. The recorder's sinks are the
+/// [`CountingSink`](crate::CountingSink) and the
+/// [`TraceJsonSink`](crate::TraceJsonSink), selected by
+/// [`ObsConfig`](crate::ObsConfig).
 pub trait EventSink {
     /// Called for every recorded event.
     fn on_event(&mut self, cycle: u64, event: &Event);

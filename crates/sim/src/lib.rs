@@ -52,7 +52,6 @@ pub mod memory;
 pub mod mmio;
 pub mod platform;
 pub mod stats;
-pub mod trace;
 pub mod watchdog;
 pub mod xbar;
 
@@ -61,6 +60,5 @@ pub use config::{InterconnectKind, PlatformConfig};
 pub use error::{ConfigError, Fault, FaultKind, SimError};
 pub use platform::{Platform, RunExit};
 pub use stats::{stats_json, BankStats, CoreStats, SimStats};
-pub use trace::{StallRecord, TraceEntry, TraceEvent, Tracer};
 pub use watchdog::{CoreDump, PhaseAttribution, PointDump, PostMortem, WatchdogTrip};
-pub use wbsn_obs::{Obs, ObsConfig, ObsSummary, StallCause};
+pub use wbsn_obs::{Event, Obs, ObsConfig, ObsSummary, StallCause, TimedEvent};

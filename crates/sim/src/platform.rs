@@ -13,7 +13,6 @@ use crate::error::{Fault, FaultKind, SimError};
 use crate::memory::{DataMemory, InstrMemory};
 use crate::mmio::MmioReg;
 use crate::stats::SimStats;
-use crate::trace::{StallRecord, TraceEvent, Tracer};
 use crate::watchdog::{CoreDump, PhaseAttribution, PointDump, PostMortem, WatchdogTrip};
 use crate::xbar::{arbitrate_into, Grant, Request};
 
@@ -129,9 +128,8 @@ pub struct Platform {
     synchronizer: Synchronizer,
     adc: Adc,
     stats: SimStats,
-    tracer: Option<Tracer>,
-    /// Observability recorder; a disabled handle is a `None` check per
-    /// hook.
+    /// Observability recorder, including the retirement ring; a
+    /// disabled handle is a `None` check per hook.
     obs: Obs,
     breakpoints: Vec<u32>,
     watchpoints: Vec<u32>,
@@ -250,7 +248,6 @@ impl Platform {
             synchronizer,
             adc,
             stats,
-            tracer: None,
             obs: Obs::off(),
             breakpoints: Vec::new(),
             watchpoints: Vec::new(),
@@ -329,21 +326,11 @@ impl Platform {
         self.config.forwarding = on;
     }
 
-    /// Enables retirement tracing: the last `capacity` retirements of
-    /// the cores selected by `core_mask` (bit per core) are kept in a
-    /// ring readable through [`Platform::trace`].
-    pub fn enable_trace(&mut self, capacity: usize, core_mask: u8) {
-        self.tracer = Some(Tracer::new(capacity, core_mask));
-    }
-
-    /// The retirement trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
     /// Attaches an observability recorder: from the next cycle on, the
     /// platform emits the typed event stream (synchronizer, power,
-    /// phase, ADC, stall runs) into the sinks selected by `config`.
+    /// phase, ADC, stall runs) into the sinks selected by `config`, and
+    /// keeps the last `config.ring` events, retirements and stalled
+    /// cycles in the recorder's ring.
     ///
     /// Call [`Platform::finish_obs`] after the last cycle to flush open
     /// stall runs and gated intervals before reading results.
@@ -355,11 +342,6 @@ impl Platform {
     /// [`Platform::enable_obs`] was called).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The observability handle, mutable (for attaching custom sinks).
-    pub fn obs_mut(&mut self) -> &mut Obs {
-        &mut self.obs
     }
 
     /// Ends the observation: flushes open stall runs, attributes open
@@ -449,18 +431,12 @@ impl Platform {
                     .expect("configured point"),
             })
             .collect();
-        let trace_tail = self
-            .tracer
-            .as_ref()
-            .map(|t| t.events().copied().collect())
-            .unwrap_or_default();
         let (obs_tail, phase_profile) = self.obs_post_mortem();
         PostMortem {
             cycle: self.stats.cycles,
             trip,
             cores,
             points,
-            trace_tail,
             obs_tail,
             phase_profile,
         }
@@ -1057,7 +1033,7 @@ impl Platform {
         let cs = &mut self.stats.cores[idx];
         cs.instructions += 1;
         self.instr_retired += 1;
-        self.obs.retire(cycle, idx);
+        self.obs.retire(cycle, idx, slot.core.pc(), instr);
         match instr {
             Instr::Sync { kind, point } => {
                 cs.sync_ops += 1;
@@ -1068,14 +1044,6 @@ impl Platform {
                 self.obs.sleep_op(cycle, idx);
             }
             _ => {}
-        }
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(TraceEvent {
-                cycle,
-                core: idx,
-                pc: slot.core.pc(),
-                instr,
-            });
         }
         match slot.core.retire(instr, load) {
             Retire::Next => {}
@@ -1136,9 +1104,9 @@ impl Platform {
         Ok(())
     }
 
-    /// Records one stalled cycle of `core` at `pc` in all three places
-    /// that count stalls: the per-core counter, the observability stall
-    /// run and the trace ring.
+    /// Records one stalled cycle of `core` at `pc` in both places that
+    /// count stalls: the per-core counter and the observability recorder
+    /// (its stall run and its ring).
     fn record_stall(&mut self, cycle: u64, core: usize, pc: u32, cause: StallCause) {
         let cs = &mut self.stats.cores[core];
         match cause {
@@ -1146,15 +1114,7 @@ impl Platform {
             StallCause::DmConflict => cs.stall_dm += 1,
             StallCause::LoadUseHazard => cs.stall_hazard += 1,
         }
-        self.obs.stall(cycle, core, cause);
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record_stall(StallRecord {
-                cycle,
-                core,
-                pc,
-                cause,
-            });
-        }
+        self.obs.stall(cycle, core, pc, cause);
     }
 
     /// Resolves the instruction at `pc`: predecoded fast path by
@@ -1469,7 +1429,10 @@ mod tests {
         // quiescent exit; with it, a deadlock post-mortem.
         let mut p = single_core_platform("snop 0\nsleep\nhalt\n");
         p.set_watchdog(10_000);
-        p.enable_trace(16, 0xFF);
+        p.enable_obs(ObsConfig {
+            ring: 16,
+            ..ObsConfig::default()
+        });
         let err = p.run(1_000_000).unwrap_err();
         let SimError::Watchdog(pm) = err else {
             panic!("expected watchdog trip, got {err:?}");
@@ -1477,7 +1440,13 @@ mod tests {
         assert_eq!(pm.trip, WatchdogTrip::Deadlock { waiting: vec![0] });
         assert!(pm.cores[0].gated);
         assert!(pm.points[0].value.flags().bits() & 1 != 0, "core 0 flagged");
-        assert!(!pm.trace_tail.is_empty(), "trace tail captured");
+        assert!(
+            pm.obs_tail
+                .iter()
+                .any(|line| line.ends_with("core0 0x0001: sleep")),
+            "{:?}",
+            pm.obs_tail
+        );
         assert!(pm.to_string().contains("deadlock"));
     }
 
@@ -1572,7 +1541,8 @@ mod tests {
     /// Runs a platform from `make` to `max_cycles` through the N-slot
     /// driver alone and through the dispatching driver (which takes the
     /// 1-slot instance whenever at most one core is awake), and asserts
-    /// the same exit, stats, trace (stalls included) and data memory.
+    /// the same exit, stats, recorder ring (retirements, stalled cycles
+    /// and events) and data memory.
     fn assert_drivers_agree(label: &str, max_cycles: u64, make: impl Fn() -> Platform) -> RunExit {
         const RING: usize = 1 << 18;
         let twins = [
@@ -1581,7 +1551,10 @@ mod tests {
         ]
         .map(|driver| {
             let mut p = make();
-            p.enable_trace(RING, 0xFF);
+            p.enable_obs(ObsConfig {
+                ring: RING,
+                ..ObsConfig::default()
+            });
             let exit = p.run_with(max_cycles, driver).unwrap();
             p.flush_gated();
             (p, exit)
@@ -1589,12 +1562,13 @@ mod tests {
         let [(general, general_exit), (awake, awake_exit)] = twins;
         assert_eq!(general_exit, awake_exit, "{label}");
         assert_eq!(general.stats(), awake.stats(), "{label}");
-        let entries = |p: &Platform| p.trace().unwrap().entries().copied().collect::<Vec<_>>();
-        assert!(
-            general.trace().unwrap().len() < RING,
-            "{label}: ring holds every entry"
-        );
-        assert_eq!(entries(&general), entries(&awake), "{label}");
+        let entries = |p: &Platform| {
+            let ring = p.obs().recorder().unwrap().events();
+            ring.copied().collect::<Vec<_>>()
+        };
+        let general_ring = entries(&general);
+        assert!(general_ring.len() < RING, "{label}: ring holds every entry");
+        assert_eq!(general_ring, entries(&awake), "{label}");
         for bank in 0..wbsn_isa::DM_BANKS {
             for row in 0..wbsn_isa::DM_BANK_WORDS {
                 let loc = DmLocation { bank, row };
@@ -1605,7 +1579,7 @@ mod tests {
     }
 
     /// The 1-slot instance must stay an instance: the arbitrated driver
-    /// runs the same single-core programs to the same stats, trace and
+    /// runs the same single-core programs to the same stats, ring and
     /// data memory.
     #[test]
     fn both_cycle_drivers_agree_on_single_core_programs() {

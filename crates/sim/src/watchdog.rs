@@ -18,18 +18,17 @@
 //!
 //! Instead of hanging (or mis-reporting an exit), the run returns
 //! [`crate::SimError::Watchdog`] carrying a [`PostMortem`]: per-core
-//! architectural state, every synchronization-point word with its armed
-//! bit, and — when tracing is enabled — the last retired instructions.
-//! When an observability recorder ([`crate::Platform::enable_obs`]) is
-//! attached, the dump also carries the tail of the typed event stream
-//! and the per-(core, phase) cycle attribution, so the report names the
-//! mapping phase each core died in.
+//! architectural state and every synchronization-point word with its
+//! armed bit. When an observability recorder
+//! ([`crate::Platform::enable_obs`]) is attached, the dump also carries
+//! the tail of its ring — the last retirements and stalled cycles
+//! interleaved with the synchronizer, power and phase events — and the
+//! per-(core, phase) cycle attribution, so the report names the mapping
+//! phase each core died in.
 
 use std::fmt;
 
 use wbsn_core::SyncPointValue;
-
-use crate::trace::TraceEvent;
 
 /// What tripped the watchdog.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,12 +112,9 @@ pub struct PostMortem {
     pub cores: Vec<CoreDump>,
     /// Every synchronization-point word.
     pub points: Vec<PointDump>,
-    /// The last retired instructions, oldest first (empty unless
-    /// tracing was enabled).
-    pub trace_tail: Vec<TraceEvent>,
-    /// The tail of the observability event stream, rendered one line
-    /// per event, oldest first (empty unless a recorder with an event
-    /// ring was attached).
+    /// The tail of the recorder's ring — retirements, stalled cycles and
+    /// events — rendered one line per entry, oldest first (empty unless
+    /// a recorder with a ring was attached).
     pub obs_tail: Vec<String>,
     /// Per-(core, phase) cycle attribution (empty unless a recorder
     /// with the profiler was attached).
@@ -150,12 +146,6 @@ impl fmt::Display for PostMortem {
                 p.value.counter(),
                 if p.armed { " armed" } else { "" }
             )?;
-        }
-        if !self.trace_tail.is_empty() {
-            writeln!(f, "  last retirements:")?;
-            for event in &self.trace_tail {
-                writeln!(f, "    {event}")?;
-            }
         }
         if !self.obs_tail.is_empty() {
             writeln!(f, "  last events:")?;
@@ -215,8 +205,10 @@ mod tests {
                 value: SyncPointValue::with(CoreSet::first(2), 3),
                 armed: true,
             }],
-            trace_tail: Vec::new(),
-            obs_tail: vec!["[        40] core1 slept".to_string()],
+            obs_tail: vec![
+                "[        39] core1 0x0011: sleep".to_string(),
+                "[        40] core1 slept".to_string(),
+            ],
             phase_profile: vec![PhaseAttribution {
                 core: 1,
                 phase: "delineate".to_string(),
@@ -231,6 +223,7 @@ mod tests {
         assert!(text.contains("counter 3 armed"));
         assert!(!text.contains("core 2"), "absent cores are omitted");
         assert!(text.contains("last events:"));
+        assert!(text.contains("core1 0x0011: sleep"));
         assert!(text.contains("core1 slept"));
         assert!(text.contains("core 1 in delineate: 30 active cycles, 12 instructions"));
     }

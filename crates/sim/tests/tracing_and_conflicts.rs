@@ -2,7 +2,7 @@
 //! platform.
 
 use wbsn_isa::{assemble_text, Linker, Section};
-use wbsn_sim::{ObsConfig, Platform, PlatformConfig, RunExit, StallCause, TraceEntry};
+use wbsn_sim::{Event, ObsConfig, Platform, PlatformConfig, RunExit, StallCause};
 
 /// Count-down loops at different addresses of one instruction bank.
 const FETCH_A: &str = "li r1, 50\nla: addi r1, r1, -1\nbne r1, r0, la\nsw r1, 0x40(r0)\nhalt\n";
@@ -45,29 +45,25 @@ fn trace_records_retirements_in_order() {
         )],
         &[(0, "main")],
     );
-    p.enable_trace(16, 0b1);
+    p.enable_obs(ObsConfig {
+        ring: 16,
+        ..ObsConfig::default()
+    });
     assert_eq!(p.run(100).unwrap(), RunExit::AllHalted);
-    let trace = p.trace().expect("enabled");
-    let listing = trace.listing();
-    assert_eq!(trace.len(), 4);
-    assert!(listing.contains("li r1, 2"));
+    let ring = p.obs().recorder().expect("enabled");
+    let retired: Vec<_> = ring
+        .events()
+        .filter(|t| matches!(t.event, Event::Retire { .. }))
+        .collect();
+    assert_eq!(retired.len(), 4);
+    let listing = ring.tail_rendered(usize::MAX).join("\n");
+    assert!(listing.contains("core0 0x0000: li r1, 2"), "{listing}");
     assert!(listing.contains("halt"));
     // Cycles are non-decreasing.
-    let cycles: Vec<u64> = trace.events().map(|e| e.cycle).collect();
-    assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
-}
-
-#[test]
-fn trace_mask_excludes_other_cores() {
-    let mut p = multi(
-        vec![("a", "halt\n", 0), ("b", "nop\nhalt\n", 1)],
-        &[(0, "a"), (1, "b")],
-    );
-    p.enable_trace(16, 0b10);
-    p.run(100).unwrap();
-    let trace = p.trace().expect("enabled");
-    assert!(trace.events().all(|e| e.core == 1));
-    assert_eq!(trace.len(), 2);
+    assert!(ring
+        .events()
+        .zip(ring.events().skip(1))
+        .all(|(a, b)| a.cycle <= b.cycle));
 }
 
 /// Two cores looping over different addresses in the same instruction
@@ -187,7 +183,7 @@ fn watchpoints_stop_on_the_writing_core() {
 
 /// Every stalled cycle is recorded exactly once in each of the three
 /// places that count stalls: the per-core `SimStats` counters, the
-/// counting sink's per-cause totals and the trace ring.
+/// counting sink's per-cause totals and the recorder's ring.
 #[test]
 fn each_stall_cycle_is_counted_once_in_stats_obs_and_trace() {
     const RING: usize = 1 << 16;
@@ -211,13 +207,18 @@ fn each_stall_cycle_is_counted_once_in_stats_obs_and_trace() {
                 linker.set_entry(core, &name);
             }
             let mut p = Platform::new(config, &linker.link().expect("links")).expect("builds");
-            p.enable_trace(RING, 0xFF);
-            p.enable_obs(ObsConfig::counting_only());
+            p.enable_obs(ObsConfig {
+                ring: RING,
+                ..ObsConfig::counting_only()
+            });
             assert_eq!(p.run(100_000).unwrap(), RunExit::AllHalted);
             p.finish_obs();
-            let trace = p.trace().expect("enabled");
-            assert!(trace.len() < RING, "the ring holds every entry");
-            let counting = p.obs().recorder().and_then(|r| r.counting()).expect("on");
+            let recorder = p.obs().recorder().expect("on");
+            assert!(
+                recorder.events().count() < RING,
+                "the ring holds every entry"
+            );
+            let counting = recorder.counting().expect("on");
             for cause in StallCause::ALL {
                 let stats: u64 = p
                     .stats()
@@ -229,9 +230,9 @@ fn each_stall_cycle_is_counted_once_in_stats_obs_and_trace() {
                         StallCause::LoadUseHazard => c.stall_hazard,
                     })
                     .sum();
-                let traced = trace
-                    .entries()
-                    .filter(|e| matches!(e, TraceEntry::Stall(s) if s.cause == cause))
+                let traced = recorder
+                    .events()
+                    .filter(|t| matches!(t.event, Event::Stall { cause: c, .. } if c == cause))
                     .count() as u64;
                 let label = format!("{cause:?}, single core: {single}");
                 assert_eq!(stats, counting.stall_cycles[cause.index()], "{label}");

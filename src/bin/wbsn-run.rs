@@ -13,7 +13,8 @@
 //!                        cycles without progress exits with a
 //!                        post-mortem dump instead of hanging
 //!   --dump <addr:len>    print a data-memory range after the run (repeatable)
-//!   --trace <N>          keep and print the last N retirements
+//!   --trace <N>          keep and print the last N retirements, stalled
+//!                        cycles and synchronizer/power/phase/ADC events
 //!   --break <pc>         stop when any core is about to execute pc (repeatable)
 //!   --watch <addr>       stop after any core writes addr (repeatable)
 //!   --trace-json <path>  write a Chrome/Perfetto trace_event timeline
@@ -153,9 +154,6 @@ fn main() -> ExitCode {
         }
     };
     platform.set_forwarding(forwarding);
-    if let Some(capacity) = trace {
-        platform.enable_trace(capacity, 0xFF);
-    }
     if let Some(stall_cycles) = watchdog {
         platform.set_watchdog(stall_cycles);
     }
@@ -165,12 +163,12 @@ fn main() -> ExitCode {
     for addr in watchpoints {
         platform.add_watchpoint(addr);
     }
-    if profile || trace_json.is_some() {
+    if profile || trace_json.is_some() || trace.is_some() {
         platform.enable_obs(ObsConfig {
-            counting: true,
+            counting: profile,
             profile,
             trace: trace_json.is_some(),
-            ring: 256,
+            ring: trace.unwrap_or(256),
             phases: Some(PhaseTable::from_image(&linked)),
         });
     }
@@ -208,9 +206,11 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("wbsn-run: {e}");
-            if let Some(tracer) = platform.trace() {
-                eprintln!("--- last retirements ---");
-                eprint!("{}", tracer.listing());
+            if trace.is_some() {
+                eprintln!("--- last events ---");
+                for line in ring_lines(&platform) {
+                    eprintln!("{line}");
+                }
             }
             // A partial timeline is still worth opening in Perfetto:
             // flush whatever the recorder saw before the failure.
@@ -251,11 +251,21 @@ fn main() -> ExitCode {
         }
         println!();
     }
-    if let Some(tracer) = platform.trace() {
-        println!("--- last retirements ---");
-        print!("{}", tracer.listing());
+    if trace.is_some() {
+        println!("--- last events ---");
+        for line in ring_lines(&platform) {
+            println!("{line}");
+        }
     }
     ExitCode::SUCCESS
+}
+
+/// The recorder's ring, one `[cycle] entry` line each, oldest first.
+fn ring_lines(platform: &Platform) -> Vec<String> {
+    platform
+        .obs()
+        .recorder()
+        .map_or_else(Vec::new, |r| r.tail_rendered(usize::MAX))
 }
 
 fn write_trace_json(platform: &Platform, path: &str) -> Result<(), ExitCode> {

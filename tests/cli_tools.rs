@@ -65,7 +65,9 @@ fn assemble_run_disassemble_round_trip() {
 /// assemble `examples/asm/`, run with `--trace-json`/`--profile`/
 /// `--stats-json`, and validate both JSON artifacts with the obs
 /// crate's own parser (the same check CI's `obs-smoke` job performs
-/// with `wbsn-trace-check`).
+/// with `wbsn-trace-check`). Then `--trace N`: the ring interleaves
+/// retirements with synchronizer events, keeps nothing at capacity 0,
+/// and a capacity far beyond the run is not allocated up front.
 #[test]
 fn observability_flags_round_trip() {
     let dir = std::env::temp_dir().join(format!("wbsn-obs-cli-{}", std::process::id()));
@@ -120,6 +122,25 @@ fn observability_flags_round_trip() {
         root.get("schema").and_then(|v| v.as_str()),
         Some("wbsn-stats/1")
     );
+
+    let traced = |args: &[&str]| {
+        let run = Command::new(env!("CARGO_BIN_EXE_wbsn-run"))
+            .args(args)
+            .arg(&img)
+            .output()
+            .expect("wbsn-run runs");
+        assert!(run.status.success(), "run {args:?}: {run:?}");
+        String::from_utf8_lossy(&run.stdout).into_owned()
+    };
+    let ring = traced(&["--trace", "64"]);
+    assert!(ring.contains("core0 0x0005: sdec 0"), "{ring}");
+    assert!(ring.contains("point p0 released"), "{ring}");
+    let ring_lines = |out: &str| out.lines().filter(|l| l.starts_with('[')).count();
+    assert_eq!(ring_lines(&ring), 64, "{ring}");
+    let empty = traced(&["--trace", "0"]);
+    assert_eq!(ring_lines(&empty), 0, "{empty}");
+    let huge = traced(&["--trace", "4000000000", "--cycles", "2000"]);
+    assert!(huge.contains("AllHalted"), "{huge}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,8 @@
 //!   comparison meaningful: both platforms do the same work. (RP-CLASS
 //!   compares its classification outputs — see [`rp_class_signature`].)
 //! * **fast vs slow decode** — the predecoded fast path must be
-//!   architecturally invisible: statistics and retirement traces equal
+//!   architecturally invisible: statistics and the recorder's ring
+//!   (retirements, stalled cycles, synchronizer and power events) equal
 //!   to the legacy decode-per-cycle path (compiled in via the
 //!   `slow-decode` feature) on every benchmark.
 //! * **scheduled vs unscheduled** — the load-latency-aware scheduler
@@ -21,7 +22,7 @@ use wbsn::kernels::{
     build_mf, build_mmd, build_rpclass, layout, Arch, BuildOptions, BuiltApp, ClassifierParams,
     SyncApproach,
 };
-use wbsn::sim::Platform;
+use wbsn::sim::{ObsConfig, Platform};
 
 fn recording(seed: u64, fraction: f64) -> EcgRecording {
     synthesize(&EcgConfig {
@@ -186,14 +187,17 @@ fn scheduled_images_produce_identical_dsp_outputs() {
     }
 }
 
-/// Runs one app with the given decode path; tracing captures the last
-/// 4096 retirements of every core.
+/// Runs one app with the given decode path; the recorder's ring keeps
+/// the last 4096 retirements, stalled cycles and events of every core.
 fn run_traced(app: &BuiltApp, leads: Vec<Vec<i16>>, slow: bool) -> Platform {
     let samples = leads[0].len() as u64;
     let budget = app.config.adc.start_cycle + (samples + 8) * app.config.adc.period_cycles;
     let mut platform = app.platform(leads).expect("platform builds");
     platform.set_slow_decode(slow);
-    platform.enable_trace(4096, 0xFF);
+    platform.enable_obs(ObsConfig {
+        ring: 4096,
+        ..ObsConfig::default()
+    });
     platform.run(budget).expect("no faults");
     platform
 }
@@ -211,11 +215,18 @@ fn predecoded_fast_path_matches_the_decode_per_cycle_oracle() {
                 "{} {arch:?}: statistics diverge between decode paths",
                 app.name
             );
-            let fast_tail: Vec<_> = fast.trace().expect("traced").events().collect();
-            let slow_tail: Vec<_> = slow.trace().expect("traced").events().collect();
+            let ring = |p: &Platform| -> Vec<_> {
+                p.obs()
+                    .recorder()
+                    .expect("ring on")
+                    .events()
+                    .copied()
+                    .collect()
+            };
             assert_eq!(
-                fast_tail, slow_tail,
-                "{} {arch:?}: retirement traces diverge between decode paths",
+                ring(&fast),
+                ring(&slow),
+                "{} {arch:?}: recorder rings diverge between decode paths",
                 app.name
             );
             assert_eq!(
