@@ -108,6 +108,6 @@ fn main() {
 
     report.merge(no_vfs_report);
     report
-        .write_json("BENCH_sweep.json")
+        .write_requested_json()
         .expect("writing the sweep record");
 }

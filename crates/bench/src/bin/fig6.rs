@@ -69,6 +69,6 @@ fn main() {
     }
 
     report
-        .write_json("BENCH_sweep.json")
+        .write_requested_json()
         .expect("writing the sweep record");
 }

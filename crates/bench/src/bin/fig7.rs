@@ -98,6 +98,6 @@ fn main() {
 
     report.merge(mc_report);
     report
-        .write_json("BENCH_sweep.json")
+        .write_requested_json()
         .expect("writing the sweep record");
 }

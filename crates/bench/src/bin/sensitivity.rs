@@ -76,6 +76,6 @@ fn main() {
     println!("conclusion does not hinge on any single characterization constant.");
 
     report
-        .write_json("BENCH_sweep.json")
+        .write_requested_json()
         .expect("writing the sweep record");
 }

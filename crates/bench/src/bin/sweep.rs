@@ -11,12 +11,14 @@
 //!   `WBSN_DURATION_S`).
 //! * `--workers <n>` — worker threads (default `WBSN_WORKERS`, then the
 //!   host parallelism).
-//! * `--json <path>` — record path (default `BENCH_sweep.json`, or
-//!   `WBSN_SWEEP_JSON`; empty suppresses the record).
+//! * `--json <path>` — record path (default `WBSN_SWEEP_JSON`, else
+//!   `BENCH_sweep.json`; the option wins over both, and an empty path
+//!   suppresses the record).
 //! * `--no-fix-cells` — drop the scheduled/forwarding variants of the
 //!   hardware-sync cells (the default grid includes them so the record
 //!   diffs the load-use stall bucket before and after each fix).
 
+use wbsn_bench::sweep::requested_json_path;
 use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
 use wbsn_kernels::ClassifierParams;
 
@@ -55,7 +57,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(60.0);
     let mut options = SweepOptions::default();
-    let mut json_path = String::from("BENCH_sweep.json");
+    let mut json_path = requested_json_path().unwrap_or_else(|| String::from("BENCH_sweep.json"));
     let mut fix_cells = true;
 
     let mut args = std::env::args().skip(1);
@@ -162,7 +164,9 @@ fn main() {
         }
     }
 
-    report.write_json(&json_path).expect("writing sweep record");
+    if !json_path.is_empty() {
+        report.write_json(&json_path).expect("writing sweep record");
+    }
     if report.outcomes.iter().any(|o| o.result.is_err()) {
         std::process::exit(1);
     }

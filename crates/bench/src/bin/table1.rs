@@ -115,6 +115,6 @@ fn main() {
     println!();
 
     report
-        .write_json("BENCH_sweep.json")
+        .write_requested_json()
         .expect("writing the sweep record");
 }

@@ -116,8 +116,6 @@ pub struct ExperimentConfig {
     pub fs: u32,
     /// Fraction of pathological beats (RP-CLASS input).
     pub pathological_fraction: f64,
-    /// Guard band on the minimum-clock selection.
-    pub guard: f64,
     /// Calibration slice length in seconds.
     pub calibration_s: f64,
     /// Disable crossbar broadcasting (ablation).
@@ -127,10 +125,6 @@ pub struct ExperimentConfig {
     /// Use the preloaded auto-reload barrier extension instead of the
     /// paper's SINC/SDEC protocol.
     pub preloaded_barrier: bool,
-    /// Force the multi-core run onto the baseline's operating point
-    /// (isolates the VFS contribution — ablation for Fig. 7's
-    /// discussion).
-    pub disable_vfs: bool,
     /// Run the load-latency-aware scheduler over every kernel (the
     /// software fix for the load-use stall bucket).
     pub schedule: bool,
@@ -149,12 +143,10 @@ impl Default for ExperimentConfig {
             // 500 Hz.
             fs: 500,
             pathological_fraction: 0.2,
-            guard: 0.10,
             calibration_s: 6.0,
             disable_broadcast: false,
             disable_lockstep: false,
             preloaded_barrier: false,
-            disable_vfs: false,
             schedule: false,
             forwarding: false,
             seed: 0xEC60,
@@ -191,8 +183,9 @@ pub struct Measurement {
     pub breakdown: PowerBreakdown,
     /// Raw statistics of the measurement run.
     pub stats: SimStats,
-    /// Latency/stall digest of the measurement run (sleep and sync-gap
-    /// percentiles, per-cause stall totals).
+    /// Latency digest of the measurement run (sleep, sync-gap and
+    /// stall-run percentiles); the per-cause stall totals are in
+    /// `stats`.
     pub obs: Option<ObsSummary>,
     /// The powered-instance counts used by the power model.
     pub activity: Activity,
@@ -321,6 +314,9 @@ fn build_options(
         adc_period_cycles,
     }
 }
+
+/// Guard band on the calibrated clock that seeds the search.
+const GUARD: f64 = 0.10;
 
 /// The ADC sampling period, in cycles, at `clock_hz`.
 fn period_at(config: &ExperimentConfig, clock_hz: f64) -> u64 {
@@ -522,7 +518,7 @@ pub fn measure_cached(
             .iter()
             .map(|c| c.active_cycles as f64 / samples)
             .fold(0.0f64, f64::max);
-        vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + config.guard))
+        vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + GUARD))
     };
 
     // 2. Feasibility search: the minimum clock is the lowest at which a
@@ -600,31 +596,10 @@ pub fn measure_cached(
     })
 }
 
-/// Measures a multi-core configuration pinned to a given clock (the
-/// `--no-vfs` ablation: same workload, baseline operating point).
-///
-/// # Errors
-///
-/// Same conditions as [`measure`].
-pub fn measure_at_clock(
-    benchmark: BenchmarkId,
-    variant: RunVariant,
-    config: &ExperimentConfig,
-    params: &ClassifierParams,
-    clock_hz: f64,
-) -> Result<Measurement, MeasureError> {
-    measure_at_clock_cached(
-        benchmark,
-        variant,
-        config,
-        params,
-        clock_hz,
-        &BuildCache::new(),
-    )
-}
-
-/// [`measure_at_clock`] with a shared [`BuildCache`] (the sweep-grid
-/// entry point, like [`measure_cached`]).
+/// Measures a configuration pinned to a given clock instead of
+/// searching for the minimum (the VFS-off ablation: same workload,
+/// baseline operating point), with a shared [`BuildCache`] like
+/// [`measure_cached`].
 ///
 /// # Errors
 ///
@@ -662,6 +637,7 @@ pub fn measure_at_clock_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbsn_sim::StallCause;
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -752,6 +728,13 @@ mod tests {
                 assert_eq!(chunked.adc_overruns(), 0, "{cell}");
                 assert_eq!(chunked.stats(), reference.stats(), "{cell}");
                 assert!(obs_summary(&chunked).is_some(), "{cell}");
+                // The stall-run histogram holds every stalled cycle once.
+                let counting = chunked.obs().recorder().and_then(|r| r.counting());
+                let stalled: u64 = StallCause::ALL
+                    .into_iter()
+                    .map(|cause| chunked.stats().stall_cycles(cause))
+                    .sum();
+                assert_eq!(counting.unwrap().stall_run_cycles.sum(), stalled, "{cell}");
                 assert_eq!(obs_summary(&chunked), obs_summary(&reference), "{cell}");
 
                 // 50 kHz: every benchmark overruns within a few samples.

@@ -14,7 +14,9 @@
 //!     proposed synchronization (busy wait) and MC with it.
 //!   * `fig7` — Fig. 7: RP-CLASS power vs pathological-beat fraction.
 //!   * `ablations`, `sensitivity` — the DESIGN.md studies.
-//!   * `sweep` — the stand-alone sweep driver CLI.
+//!   * `sweep` — the stand-alone sweep driver CLI, the one binary that
+//!     writes `BENCH_sweep.json` by default; the others write a record
+//!     only where `WBSN_SWEEP_JSON` names a file.
 //!
 //! Host-side timing of this harness lives in the stand-alone `wbsnbench`
 //! package (medians over repeated runs, outputs checked), and

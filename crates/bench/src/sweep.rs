@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use threadpool::ThreadPool;
 use wbsn_kernels::ClassifierParams;
+use wbsn_sim::StallCause;
 
 use crate::cache::BuildCache;
 use crate::experiment::{
@@ -45,7 +46,7 @@ pub struct SweepCell {
     /// The experiment knobs for this cell.
     pub config: ExperimentConfig,
     /// Pin the run to this clock instead of searching for the minimum
-    /// (the `measure_at_clock` ablations).
+    /// (the VFS-off ablations).
     pub pinned_clock_hz: Option<f64>,
 }
 
@@ -299,18 +300,16 @@ impl SweepReport {
                                 "        \"sync_gap_p99_cycles\": {},\n",
                                 s.sync_gap_p99_cycles
                             ));
-                            out.push_str(&format!(
-                                "        \"stall_im_cycles\": {},\n",
-                                s.stall_im_cycles
-                            ));
-                            out.push_str(&format!(
-                                "        \"stall_dm_cycles\": {},\n",
-                                s.stall_dm_cycles
-                            ));
-                            out.push_str(&format!(
-                                "        \"stall_hazard_cycles\": {},\n",
-                                s.stall_hazard_cycles
-                            ));
+                            for (key, cause) in [
+                                ("im", StallCause::ImConflict),
+                                ("dm", StallCause::DmConflict),
+                                ("hazard", StallCause::LoadUseHazard),
+                            ] {
+                                out.push_str(&format!(
+                                    "        \"stall_{key}_cycles\": {},\n",
+                                    m.stats.stall_cycles(cause)
+                                ));
+                            }
                             out.push_str(&format!(
                                 "        \"stall_run_p99_cycles\": {}\n",
                                 s.stall_run_p99_cycles
@@ -341,8 +340,8 @@ impl SweepReport {
                 (Ok(b), Ok(f)) => (b, f),
                 _ => unreachable!("hazard_fixes only pairs successful cells"),
             };
-            let before = b.obs.map(|s| s.stall_hazard_cycles).unwrap_or(0);
-            let after = f.obs.map(|s| s.stall_hazard_cycles).unwrap_or(0);
+            let before = b.stats.stall_cycles(StallCause::LoadUseHazard);
+            let after = f.stats.stall_cycles(StallCause::LoadUseHazard);
             let cut = if before > 0 {
                 100.0 * (before.saturating_sub(after)) as f64 / before as f64
             } else {
@@ -392,18 +391,13 @@ impl SweepReport {
         out
     }
 
-    /// Writes the sweep record to `path`, or to the `WBSN_SWEEP_JSON`
-    /// override when set (an empty override suppresses the record).
+    /// Writes the sweep record to `path`.
     ///
     /// # Errors
     ///
     /// Propagates the write error.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let path = std::env::var("WBSN_SWEEP_JSON").unwrap_or_else(|_| path.to_string());
-        if path.is_empty() {
-            return Ok(());
-        }
-        std::fs::write(&path, self.to_json())?;
+        std::fs::write(path, self.to_json())?;
         eprintln!(
             "# sweep: {} cells, {} workers, {:.1}s wall, {:.1} Msim-cycles/s -> {path}",
             self.outcomes.len(),
@@ -413,6 +407,25 @@ impl SweepReport {
         );
         Ok(())
     }
+
+    /// Writes the sweep record where `WBSN_SWEEP_JSON` names a file, and
+    /// nowhere otherwise (the results binaries' record output).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write error.
+    pub fn write_requested_json(&self) -> std::io::Result<()> {
+        match requested_json_path() {
+            Some(path) if !path.is_empty() => self.write_json(&path),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The record path `WBSN_SWEEP_JSON` names, if it is set; empty asks for
+/// no record.
+pub fn requested_json_path() -> Option<String> {
+    std::env::var("WBSN_SWEEP_JSON").ok()
 }
 
 /// Formats an `f64` the way the record wants it: JSON has no NaN or

@@ -27,16 +27,6 @@ impl StallCause {
         StallCause::LoadUseHazard,
     ];
 
-    /// Stable index into per-cause arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            StallCause::ImConflict => 0,
-            StallCause::DmConflict => 1,
-            StallCause::LoadUseHazard => 2,
-        }
-    }
-
     /// Short display label.
     pub fn label(self) -> &'static str {
         match self {
@@ -342,12 +332,5 @@ mod tests {
             phase: NO_PHASE,
         });
         assert!(e.render(None).contains("<unmapped>"));
-    }
-
-    #[test]
-    fn stall_cause_indices_are_stable() {
-        for (i, cause) in StallCause::ALL.into_iter().enumerate() {
-            assert_eq!(cause.index(), i);
-        }
     }
 }

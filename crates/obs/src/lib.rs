@@ -5,8 +5,9 @@
 //! gating, bank power-up, ADC traffic, mapping-phase transitions and
 //! stall runs — plus the sinks that consume it:
 //!
-//! * [`CountingSink`] — counters and log2 histograms (sleep latency,
-//!   sync gaps, stall-run lengths), cheap enough for every sweep cell;
+//! * [`CountingSink`] — three log2 histograms (sleep latency, sync
+//!   gaps, stall-run lengths), cheap enough for every sweep cell; the
+//!   event totals live in the simulator's `SimStats` and `SyncStats`;
 //! * [`PhaseProfiler`] — attributes every core-cycle to the mapping
 //!   phase executing at retirement;
 //! * [`TraceJsonSink`] — a Chrome/Perfetto `trace_event` timeline.
@@ -20,9 +21,9 @@
 //! The simulator talks to the layer through [`Obs`], whose hooks are
 //! `#[inline]`. Disabled, every hook is a `None` check. With only the
 //! counting sink, the hooks that feed just the profiler, timeline or
-//! ring return on a flag kept in the handle, but retirements, stalls
-//! and synchronizer outcomes still reach the recorder: counting is not
-//! free. On `table1` of the repository's benchmark, run time with
+//! ring return on a flag kept in the handle, but retirements, stalls,
+//! sync ops and synchronizer outcomes still reach the recorder: counting
+//! is not free. On `table1` of the repository's benchmark, run time with
 //! counting over run time without (`obs.overhead_ratio`) measured about
 //! 1.08 on a 2-vCPU x86-64 host. Construct a recorder with
 //! [`ObsConfig`] and [`Obs::enable`].
@@ -33,7 +34,6 @@ pub mod hist;
 pub mod json;
 pub mod perfetto;
 pub mod profile;
-pub mod sink;
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -43,7 +43,6 @@ pub use event::{AdcEvent, Event, PhaseEvent, PowerEvent, StallCause, SyncEvent, 
 pub use hist::Histogram;
 pub use perfetto::TraceJsonSink;
 pub use profile::{PhaseCounters, PhaseProfiler, PhaseRow, UNMAPPED_PHASE};
-pub use sink::EventSink;
 
 use wbsn_core::{SyncOutcome, MAX_CORES};
 use wbsn_isa::{Instr, PhaseTable, SyncKind, NO_PHASE};
@@ -113,7 +112,6 @@ pub struct ObsCore {
     trace: Option<TraceJsonSink>,
     ring: VecDeque<TimedEvent>,
     ring_capacity: usize,
-    finished: bool,
 }
 
 impl fmt::Debug for ObsCore {
@@ -157,7 +155,6 @@ impl ObsCore {
             ring: VecDeque::with_capacity(config.ring.min(RING_RESERVE)),
             ring_capacity: config.ring,
             phases: config.phases,
-            finished: false,
         }
     }
 
@@ -177,7 +174,7 @@ impl ObsCore {
     fn emit(&mut self, cycle: u64, event: Event) {
         self.record(cycle, event);
         if let Some(sink) = &mut self.counting {
-            sink.on_event(cycle, &event);
+            sink.on_event(&event);
         }
         if let Some(sink) = &mut self.trace {
             sink.on_event(cycle, &event);
@@ -454,12 +451,9 @@ impl ObsCore {
     }
 
     /// Ends the recording: flushes open stall runs, attributes open
-    /// gated intervals, and lets sinks close open slices. Idempotent.
+    /// gated intervals, and lets the timeline close open slices.
+    /// Idempotent: each open run, interval and slice closes once.
     pub fn finish(&mut self, cycle: u64) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
         for core in 0..self.cores {
             self.flush_stall(core, cycle);
             if let Some((start, phase)) = self.gate_start[core].take() {
@@ -469,9 +463,6 @@ impl ObsCore {
                     p.gated(core, slot, slept);
                 }
             }
-        }
-        if let Some(sink) = &mut self.counting {
-            sink.finish(cycle);
         }
         if let Some(sink) = &mut self.trace {
             sink.finish(cycle);
@@ -527,8 +518,8 @@ impl ObsCore {
 pub struct Obs {
     core: Option<Box<ObsCore>>,
     /// A consumer of per-cycle detail is attached: the profiler, the
-    /// timeline or the ring. Without one, the per-cycle
-    /// hooks (`active_cycle`, `bubble`, `sleep_op`, `im_access`,
+    /// timeline or the ring. Without one, the per-cycle hooks
+    /// (`active_cycle`, `bubble`, `sleep_op`, `adc_sample`, `im_access`,
     /// `dm_access`) return at once, since the counting sink ignores
     /// what they feed. Kept in the handle so that those hooks test it
     /// without following the box.
@@ -611,6 +602,7 @@ impl Obs {
         sleep_op(cycle: u64, core: usize)
     );
     forward!(
+        detail
         /// See [`ObsCore::adc_sample`].
         adc_sample(cycle: u64, mask: u16)
     );
@@ -625,17 +617,13 @@ impl Obs {
         dm_access(cycle: u64, bank: usize)
     );
     forward!(
+        /// See [`ObsCore::sync_outcome`].
+        sync_outcome(cycle: u64, outcome: &SyncOutcome)
+    );
+    forward!(
         /// See [`ObsCore::finish`].
         finish(cycle: u64)
     );
-
-    /// Translates a committed synchronizer outcome into events.
-    #[inline]
-    pub fn sync_outcome(&mut self, cycle: u64, outcome: &SyncOutcome) {
-        if let Some(core) = &mut self.core {
-            core.sync_outcome(cycle, outcome);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -689,8 +677,6 @@ mod tests {
 
         let rec = obs.recorder().unwrap();
         let counting = rec.counting().unwrap();
-        assert_eq!(counting.releases, 1);
-        assert_eq!(counting.merges_saved, 1);
         assert_eq!(counting.sleep_cycles.count(), 1);
         assert_eq!(counting.sleep_cycles.max(), 25);
 
@@ -702,6 +688,10 @@ mod tests {
             slept_cycles: 25
         })));
         assert!(kinds.contains(&Event::Power(PowerEvent::Gate { core: 1 })));
+        assert!(kinds.contains(&Event::Sync(SyncEvent::PointMerged {
+            point: 4,
+            requests: 2
+        })));
 
         // The trace exporter saw the gate as a 25-cycle sleep slice.
         let json = rec.trace_json().unwrap();
@@ -747,7 +737,7 @@ mod tests {
             ]
         );
         let counting = rec.counting().unwrap();
-        assert_eq!(counting.total_stall_cycles(), 3);
+        assert_eq!(counting.stall_run_cycles.sum(), 3);
         assert_eq!(counting.stall_run_cycles.count(), 2);
     }
 
@@ -767,6 +757,7 @@ mod tests {
         };
         obs.sync_outcome(100, &slept);
         obs.finish(160);
+        obs.finish(200); // idempotent: the interval closed at 160
         let p = obs.recorder().unwrap().profiler().unwrap();
         let rows = p.rows();
         assert_eq!(rows.len(), 1);
@@ -793,6 +784,7 @@ mod tests {
             obs.sync_op(6, 1, SyncKind::Nop, 4);
             obs.sleep_op(7, 1);
             obs.sync_outcome(7, &slept);
+            obs.adc_sample(20, 0b1);
             obs.sync_outcome(30, &outcome_release(4, 1));
             obs.finish(40);
         };
@@ -804,7 +796,7 @@ mod tests {
         };
         let counting = summary(ObsConfig::counting_only());
         assert_eq!(counting.sleep_count, 1);
-        assert_eq!(counting.stall_dm_cycles, 2);
+        assert_eq!(counting.stall_run_p99_cycles, 2);
         assert_eq!(counting, summary(ObsConfig::full(None)));
     }
 

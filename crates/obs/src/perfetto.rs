@@ -13,7 +13,6 @@
 
 use crate::event::{AdcEvent, Event, PhaseEvent, PowerEvent, SyncEvent};
 use crate::json::escape;
-use crate::sink::EventSink;
 
 /// Process id used for every track (one simulated platform).
 const PID: u32 = 1;
@@ -50,7 +49,6 @@ pub struct TraceJsonSink {
     open_phase: [Option<(u64, u16)>; MAX_CORES],
     open_gate: [Option<u64>; MAX_CORES],
     cores_seen: [bool; MAX_CORES],
-    finished: bool,
 }
 
 impl TraceJsonSink {
@@ -63,7 +61,6 @@ impl TraceJsonSink {
             open_phase: [None; MAX_CORES],
             open_gate: [None; MAX_CORES],
             cores_seen: [false; MAX_CORES],
-            finished: false,
         }
     }
 
@@ -171,10 +168,9 @@ impl TraceJsonSink {
         out.push_str("\n]}\n");
         out
     }
-}
 
-impl EventSink for TraceJsonSink {
-    fn on_event(&mut self, cycle: u64, event: &Event) {
+    /// Records one event of the stream at `cycle`.
+    pub fn on_event(&mut self, cycle: u64, event: &Event) {
         match event {
             Event::Phase(PhaseEvent::Enter { core, phase }) => {
                 let core = *core as usize;
@@ -243,11 +239,9 @@ impl EventSink for TraceJsonSink {
         }
     }
 
-    fn finish(&mut self, final_cycle: u64) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
+    /// Closes the phase and sleep slices still open at `final_cycle`.
+    /// Idempotent: a slice closes once.
+    pub fn finish(&mut self, final_cycle: u64) {
         for core in 0..MAX_CORES {
             self.close_phase(core, final_cycle);
             self.close_gate(core, final_cycle);

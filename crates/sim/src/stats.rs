@@ -2,6 +2,7 @@
 
 use wbsn_core::SyncStats;
 use wbsn_isa::{DM_BANKS, IM_BANKS};
+use wbsn_obs::StallCause;
 
 /// Per-core cycle and instruction accounting.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -156,6 +157,18 @@ impl SimStats {
     /// `SNOP`/`SLEEP`) over all cores.
     pub fn total_sync_instrs(&self) -> u64 {
         self.cores.iter().map(|c| c.sync_ops + c.sleeps).sum()
+    }
+
+    /// Stall cycles lost to `cause`, summed over all cores.
+    pub fn stall_cycles(&self, cause: StallCause) -> u64 {
+        self.cores
+            .iter()
+            .map(|c| match cause {
+                StallCause::ImConflict => c.stall_im,
+                StallCause::DmConflict => c.stall_dm,
+                StallCause::LoadUseHazard => c.stall_hazard,
+            })
+            .sum()
     }
 
     /// Run-time overhead of the synchronization ISE in percent of the

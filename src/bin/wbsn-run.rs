@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use wbsn::core::mapping::verify::{verify_image, VerifyConfig};
 use wbsn::isa::{image, PhaseTable};
-use wbsn::sim::{stats_json, ObsConfig, Platform, PlatformConfig};
+use wbsn::sim::{stats_json, ObsConfig, Platform, PlatformConfig, StallCause};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -304,20 +304,24 @@ fn print_profile(platform: &Platform) {
             s.sync_gap_p50_cycles,
             s.sync_gap_p99_cycles
         );
+        let stats = platform.stats();
+        let stalls = StallCause::ALL.map(|cause| (cause, stats.stall_cycles(cause)));
+        let [(_, im), (_, dm), (_, hazard)] = stalls;
         println!(
-            "stalls: im {} / dm {} / hazard {} cycles (run p99 {})",
-            s.stall_im_cycles, s.stall_dm_cycles, s.stall_hazard_cycles, s.stall_run_p99_cycles
+            "stalls: im {im} / dm {dm} / hazard {hazard} cycles (run p99 {})",
+            s.stall_run_p99_cycles
         );
-        if let Some((cause, cycles)) = counting.worst_stall_cause() {
+        if let Some((cause, cycles)) = stalls
+            .into_iter()
+            .max_by_key(|&(_, cycles)| cycles)
+            .filter(|&(_, cycles)| cycles > 0)
+        {
             println!("worst stall cause: {cause} ({cycles} cycles)");
         }
+        let sync = platform.synchronizer().stats();
         println!(
-            "releases {}, merges saved {}, fallthroughs {}, adc samples {}, irq forwards {}",
-            counting.releases,
-            counting.merges_saved,
-            counting.fallthroughs,
-            counting.adc_samples,
-            counting.irq_forwards
+            "releases {}, merges saved {}, fallthroughs {}, adc samples {}, irq wakes {}",
+            sync.fires, sync.merged, sync.fallthroughs, stats.adc_samples, sync.irq_wakes
         );
     }
 }

@@ -22,7 +22,7 @@ use wbsn::kernels::{
     build_mf, build_mmd, build_rpclass, layout, Arch, BuildOptions, BuiltApp, ClassifierParams,
     SyncApproach,
 };
-use wbsn::sim::{ObsConfig, Platform};
+use wbsn::sim::{ObsConfig, Platform, StallCause};
 
 fn recording(seed: u64, fraction: f64) -> EcgRecording {
     synthesize(&EcgConfig {
@@ -175,8 +175,8 @@ fn scheduled_images_produce_identical_dsp_outputs() {
                     "{} {arch:?} seed {seed:#x}: scheduling changed the DSP outputs",
                     plain.name
                 );
-                let before: u64 = base.stats().cores.iter().map(|c| c.stall_hazard).sum();
-                let after: u64 = sched.stats().cores.iter().map(|c| c.stall_hazard).sum();
+                let before = base.stats().stall_cycles(StallCause::LoadUseHazard);
+                let after = sched.stats().stall_cycles(StallCause::LoadUseHazard);
                 assert!(
                     after <= before,
                     "{} {arch:?} seed {seed:#x}: scheduling added hazard stalls ({before} -> {after})",

@@ -84,11 +84,25 @@ fn profiler_totals_match_core_stats_exactly() {
         );
     }
     // The workload really exercised the stream: cores slept at the
-    // lock-step barrier and the ADC fed samples.
+    // lock-step barrier, and every ADC sample reached the timeline.
     let counting = recorder.counting().expect("counting sink attached");
     let summary = counting.summary();
     assert!(summary.sleep_count > 0, "barrier sleeps were observed");
-    assert!(counting.adc_samples >= samples, "ADC samples were observed");
+    let timeline = json::parse(&recorder.trace_json().expect("timeline attached")).unwrap();
+    let adc_instants = timeline
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(|v| v.as_str()) == Some("i")
+                && e.get("name").and_then(|v| v.as_str()) == Some("adc sample")
+        })
+        .count() as u64;
+    assert!(
+        adc_instants >= samples,
+        "{adc_instants} adc sample instants"
+    );
     // Phases carry real section names, not just the unmapped bucket.
     assert!(
         rows.iter().any(|r| r.phase != wbsn_obs::UNMAPPED_PHASE),
