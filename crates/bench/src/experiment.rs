@@ -13,7 +13,11 @@
 //!    calibration window is built or run.
 //! 2. **Search** — climb the clock in ×1.15 steps until the calibration
 //!    slice runs without ADC overruns, then pick the lowest voltage
-//!    whose interconnect-dependent `f_max` covers it.
+//!    whose interconnect-dependent `f_max` covers it. A rung that the
+//!    calibration run's tick trace certifies passes without being
+//!    simulated: every sample gated all cores in less than the rung's
+//!    period, so the rung would replay the calibration trace tick for
+//!    tick. Only a search run that would be thrown away is skipped.
 //! 3. **Measure** — re-run the full observation window with the sampling
 //!    period implied by the chosen clock, verify no ADC overruns (else
 //!    climb again), and integrate the run into the Fig. 6 power
@@ -28,14 +32,18 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use wbsn_dsp::ecg::{synthesize, EcgConfig, EcgRecording};
+use wbsn_kernels::app::benchmark_config;
 use wbsn_kernels::{
     build_mf, build_mmd, build_rpclass, Arch, BuildError, BuildOptions, BuiltApp, ClassifierParams,
     SyncApproach,
 };
 use wbsn_power::{Activity, Interconnect, OperatingPoint, PowerBreakdown, PowerModel, VfsTable};
-use wbsn_sim::{ObsConfig, ObsSummary, Platform, SimError, SimStats};
+use wbsn_sim::{
+    InterconnectKind, ObsConfig, ObsSummary, Platform, PlatformConfig, RunExit, SimError, SimStats,
+};
 
 use crate::cache::BuildCache;
 
@@ -318,6 +326,66 @@ fn build_options(
 /// Guard band on the calibrated clock that seeds the search.
 const GUARD: f64 = 0.10;
 
+/// ADC sampling period of the calibration run, in cycles: at 500 Hz a
+/// 10 MHz reference clock, where real time trivially holds.
+#[doc(hidden)]
+pub const CALIBRATION_PERIOD: u64 = 20_000;
+
+/// Crossbar priority rotates with `cycle % ROTATION`, the only input of
+/// a run that depends on the absolute cycle.
+const ROTATION: u64 = 8;
+
+// The calibration ticks (half a period, then every period) all fall on
+// rotation phase 0, as do those of every crossbar rung with a period
+// divisible by 16, the 1 MHz floor's 2000 cycles among them.
+const _: () = assert!(CALIBRATION_PERIOD.is_multiple_of(2 * ROTATION));
+
+/// When a window's cores are all clock-gated, relative to its ADC
+/// ticks. Recorded by the calibration run, it certifies search rungs
+/// (see [`TickTrace::certifies`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TickTrace {
+    /// The cycle at which start-up gated every core; `None` when a core
+    /// was still awake at the first tick.
+    pub startup: Option<u64>,
+    /// Per sample, the cycles from its tick until every core was gated;
+    /// `None` when a core was still awake at the next tick (for the last
+    /// sample, at the window's end).
+    pub spans: Vec<Option<u64>>,
+    /// ADC overruns over the window.
+    pub overruns: u64,
+}
+
+impl TickTrace {
+    /// Whether a search rung on `rung` (the rung's platform, the same
+    /// image at another ADC period) provably passes without being
+    /// simulated.
+    ///
+    /// The rung replays the recorded window at another period. If
+    /// start-up gates before the rung's first tick and every sample
+    /// gates all cores before the rung's next tick, the platform is idle
+    /// and in the same state at every tick of both runs. Each sample then
+    /// runs the same cycles relative to its tick, provided nothing in a
+    /// cycle depends on its absolute number. On a decoder nothing does;
+    /// a crossbar's priority rotation does, so the rung's ticks must fall
+    /// on the calibration's rotation phase. The rung then counts the
+    /// recorded overruns, which must be none.
+    pub fn certifies(&self, rung: &PlatformConfig) -> bool {
+        let adc = rung.adc;
+        let aligned = rung.interconnect == InterconnectKind::Decoder
+            || (adc.start_cycle.is_multiple_of(ROTATION)
+                && adc.period_cycles.is_multiple_of(ROTATION));
+        aligned
+            && self.overruns == 0
+            && self.startup.is_some_and(|cycle| cycle < adc.start_cycle)
+            && self
+                .spans
+                .iter()
+                .all(|span| span.is_some_and(|span| span < adc.period_cycles))
+    }
+}
+
 /// The ADC sampling period, in cycles, at `clock_hz`.
 fn period_at(config: &ExperimentConfig, clock_hz: f64) -> u64 {
     (clock_hz / config.fs as f64).round() as u64
@@ -331,6 +399,11 @@ fn recording(config: &ExperimentConfig, seconds: f64) -> EcgRecording {
         seed: config.seed,
         ..EcgConfig::healthy_60s()
     })
+}
+
+/// The slice that calibration and the feasibility search simulate.
+fn calibration_slice(config: &ExperimentConfig) -> EcgRecording {
+    recording(config, config.calibration_s.min(config.duration_s))
 }
 
 /// Builds one benchmark for one architecture — the single entry point
@@ -351,8 +424,9 @@ pub(crate) fn build_app(
 /// Why a window is simulated, which decides what the run pays for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Purpose {
-    /// Seeds the clock search from its active cycles: the whole slice
-    /// runs, uninstrumented, whatever its overruns.
+    /// Seeds the clock search from its active cycles and records the
+    /// tick trace that certifies rungs: the whole slice runs,
+    /// uninstrumented, whatever its overruns.
     Calibrate,
     /// A search step whose platform is dropped: uninstrumented, and it
     /// stops at its first overrun.
@@ -362,13 +436,15 @@ enum Purpose {
     Measure,
 }
 
+/// Simulates `leads` on `app` at ADC `period`. The tick trace is
+/// recorded for [`Purpose::Calibrate`] runs and left empty otherwise.
 fn run_window(
     app: &BuiltApp,
     leads: Vec<Vec<i16>>,
     period: u64,
     forwarding: bool,
     purpose: Purpose,
-) -> Result<Platform, SimError> {
+) -> Result<(Platform, TickTrace), SimError> {
     let samples = leads[0].len() as u64;
     let start = app.config.adc.start_cycle;
     let total = start + samples * period;
@@ -387,11 +463,23 @@ fn run_window(
     // target follows from the previous one, not from `stats.cycles`:
     // `run` returns without advancing when every core is idle and the
     // next ADC tick lies past the target.
+    let mut trace = TickTrace::default();
     let mut target = start;
     loop {
-        platform.run(target)?;
-        if purpose != Purpose::Calibrate && platform.adc_overruns() > 0 {
-            return Ok(platform);
+        let exit = platform.run(target)?;
+        if purpose == Purpose::Calibrate {
+            // `run` returns `Quiescent` at the first cycle with every
+            // core gated, `CycleLimit` at the target otherwise.
+            let gated = (exit == RunExit::Quiescent).then(|| platform.stats().cycles);
+            if target == start {
+                trace.startup = gated;
+            } else {
+                trace
+                    .spans
+                    .push(gated.map(|cycle| cycle - (target - period)));
+            }
+        } else if platform.adc_overruns() > 0 {
+            return Ok((platform, trace));
         }
         if target >= total {
             break;
@@ -400,7 +488,8 @@ fn run_window(
     }
     platform.idle_until(total);
     platform.finish_obs();
-    Ok(platform)
+    trace.overruns = platform.adc_overruns();
+    Ok((platform, trace))
 }
 
 /// The latency/stall digest of a finished measurement window.
@@ -463,6 +552,123 @@ pub fn measure(
     measure_cached(benchmark, variant, config, params, &BuildCache::new())
 }
 
+/// One cell of a grid: what every run of its measurement flow shares.
+struct Cell<'a> {
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    config: &'a ExperimentConfig,
+    params: &'a ClassifierParams,
+    cache: &'a BuildCache,
+}
+
+impl Cell<'_> {
+    fn options(&self, period: u64) -> BuildOptions {
+        build_options(self.variant, self.config, period)
+    }
+
+    fn build(&self, period: u64) -> Result<Arc<BuiltApp>, BuildError> {
+        self.cache.get_or_build(
+            self.benchmark,
+            self.variant.arch(),
+            &self.options(period),
+            self.params,
+        )
+    }
+}
+
+/// Where steps 1 and 2 left a cell.
+struct Searched {
+    /// The clock the search settled on.
+    required_hz: f64,
+    /// The feasible search run, when it is the measurement.
+    kept: Option<(Arc<BuiltApp>, Platform)>,
+    /// The period of the rung that passed without being simulated.
+    certified: Option<u64>,
+}
+
+/// Steps 1 and 2: calibration and the feasibility search over the
+/// calibration slice `calib`. With `keep` the feasible search run is
+/// the measurement, so it carries the counting sink and is returned.
+fn search(cell: &Cell, calib: &EcgRecording, keep: bool) -> Result<Searched, MeasureError> {
+    let vfs = VfsTable::ninety_nm_low_leakage();
+    // 1. Seed the search with the average per-sample demand (measured at
+    // a generous reference clock where real time trivially holds).
+    // Busy-wait cores spin between samples, so their active cycles say
+    // nothing about the clock requirement; those searches start from the
+    // platform's clock floor without a calibration run.
+    let (mut required_hz, trace) = if cell.variant.approach() == SyncApproach::BusyWait {
+        (vfs.min_clock_hz, None)
+    } else {
+        let app = cell.build(CALIBRATION_PERIOD)?;
+        let (platform, trace) = run_window(
+            &app,
+            calib.leads.clone(),
+            CALIBRATION_PERIOD,
+            cell.config.forwarding,
+            Purpose::Calibrate,
+        )?;
+        let stats = platform.stats();
+        let samples = stats.adc_samples.max(1) as f64;
+        let avg_window = stats
+            .cores
+            .iter()
+            .map(|c| c.active_cycles as f64 / samples)
+            .fold(0.0f64, f64::max);
+        let seed = vfs.clamp_clock(avg_window * cell.config.fs as f64 * (1.0 + GUARD));
+        (seed, Some(trace))
+    };
+
+    // 2. Feasibility search: the minimum clock is the lowest at which a
+    // calibration slice shows no ADC overruns — the paper's "meeting
+    // real-time constraints" criterion (work may pipeline across
+    // sampling periods thanks to the data registers and buffering, so
+    // worst-window heuristics alone are too conservative).
+    let purpose = if keep {
+        Purpose::Measure
+    } else {
+        Purpose::Search
+    };
+    let mut overruns = 0;
+    for step in 0..24 {
+        if step > 0 {
+            required_hz *= 1.15;
+        }
+        let period = period_at(cell.config, required_hz);
+        // A rung the calibration trace certifies would only repeat the
+        // calibration run's per-sample trace, so a run that would be
+        // thrown away is skipped. A kept run is the measurement and
+        // still runs.
+        let rung = benchmark_config(cell.variant.arch(), &cell.options(period));
+        if !keep && trace.as_ref().is_some_and(|t| t.certifies(&rung)) {
+            return Ok(Searched {
+                required_hz,
+                kept: None,
+                certified: Some(period),
+            });
+        }
+        let app = cell.build(period)?;
+        let (platform, _) = run_window(
+            &app,
+            calib.leads.clone(),
+            period,
+            cell.config.forwarding,
+            purpose,
+        )?;
+        overruns = platform.adc_overruns();
+        if overruns == 0 {
+            return Ok(Searched {
+                required_hz,
+                kept: keep.then_some((app, platform)),
+                certified: None,
+            });
+        }
+    }
+    Err(MeasureError::NoFeasibleClock {
+        clock_hz: required_hz,
+        overruns,
+    })
+}
+
 /// [`measure`] with a shared [`BuildCache`]: sweep grids route every
 /// cell through one cache so repeated `(benchmark, arch, options)`
 /// builds are linked once (see the cache module docs for why this can
@@ -479,83 +685,29 @@ pub fn measure_cached(
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
-    let build = |period| {
-        cache.get_or_build(
-            benchmark,
-            variant.arch(),
-            &build_options(variant, config, period),
-            params,
-        )
+    let cell = Cell {
+        benchmark,
+        variant,
+        config,
+        params,
+        cache,
     };
-    let calib = recording(config, config.calibration_s.min(config.duration_s));
+    let calib = calibration_slice(config);
     let full = recording(config, config.duration_s);
     // When the observation window fits inside the calibration slice the
     // recordings are identical, so the successful feasibility run IS the
     // measurement run (the simulator is deterministic): it counts, and
     // it is returned instead of stepping the same window twice.
     let reuse = calib.leads == full.leads;
-
-    // 1. Seed the search with the average per-sample demand (measured at
-    // a generous reference clock where real time trivially holds).
-    // Busy-wait cores spin between samples, so their active cycles say
-    // nothing about the clock requirement; those searches start from the
-    // platform's clock floor without a calibration run.
-    let mut required_hz = if variant.approach() == SyncApproach::BusyWait {
-        vfs.min_clock_hz
-    } else {
-        let calib_period = 20_000u64;
-        let platform = run_window(
-            &*build(calib_period)?,
-            calib.leads.clone(),
-            calib_period,
-            config.forwarding,
-            Purpose::Calibrate,
-        )?;
-        let stats = platform.stats();
-        let samples = stats.adc_samples.max(1) as f64;
-        let avg_window = stats
-            .cores
-            .iter()
-            .map(|c| c.active_cycles as f64 / samples)
-            .fold(0.0f64, f64::max);
-        vfs.clamp_clock(avg_window * config.fs as f64 * (1.0 + GUARD))
-    };
-
-    // 2. Feasibility search: the minimum clock is the lowest at which a
-    // calibration slice shows no ADC overruns — the paper's "meeting
-    // real-time constraints" criterion (work may pipeline across
-    // sampling periods thanks to the data registers and buffering, so
-    // worst-window heuristics alone are too conservative).
-    let search = if reuse {
-        Purpose::Measure
-    } else {
-        Purpose::Search
-    };
-    let mut feasible_run = None;
-    let mut overruns = 0;
-    for step in 0..24 {
-        if step > 0 {
-            required_hz *= 1.15;
-        }
-        let period = period_at(config, required_hz);
-        let app = build(period)?;
-        let platform = run_window(&app, calib.leads.clone(), period, config.forwarding, search)?;
-        overruns = platform.adc_overruns();
-        if overruns == 0 {
-            feasible_run = Some((app, platform));
-            break;
-        }
-    }
-    let Some(feasible_run) = feasible_run else {
-        return Err(MeasureError::NoFeasibleClock {
-            clock_hz: required_hz,
-            overruns,
-        });
-    };
+    let Searched {
+        mut required_hz,
+        mut kept,
+        ..
+    } = search(&cell, &calib, reuse)?;
 
     // 3. Measurement runs; bump the clock on residual overruns (the
     // calibration slice may have missed the worst window).
-    let mut kept = reuse.then_some(feasible_run);
+    let mut overruns = 0;
     for attempt in 0..6 {
         if attempt > 0 {
             required_hz *= 1.15;
@@ -567,8 +719,8 @@ pub fn measure_cached(
             Some(run) => run,
             None => {
                 let period = period_at(config, required_hz);
-                let app = build(period)?;
-                let platform = run_window(
+                let app = cell.build(period)?;
+                let (platform, _) = run_window(
                     &app,
                     full.leads.clone(),
                     period,
@@ -596,6 +748,64 @@ pub fn measure_cached(
     })
 }
 
+/// The ADC period of the rung at which `benchmark` on `variant` passed
+/// its feasibility search without being simulated, or `None` when the
+/// search simulated the rung it settled on. The search runs as it does
+/// inside [`measure`] when the window is longer than the calibration
+/// slice.
+///
+/// # Errors
+///
+/// Same conditions as [`measure`]'s search.
+#[doc(hidden)]
+pub fn certified_rung(
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    config: &ExperimentConfig,
+    params: &ClassifierParams,
+) -> Result<Option<u64>, MeasureError> {
+    let cell = Cell {
+        benchmark,
+        variant,
+        config,
+        params,
+        cache: &BuildCache::new(),
+    };
+    let calib = calibration_slice(config);
+    Ok(search(&cell, &calib, false)?.certified)
+}
+
+/// Simulates the calibration slice of `config` at ADC `period`, whatever
+/// its overruns, and returns its tick trace and statistics. At
+/// [`CALIBRATION_PERIOD`] this is the calibration run itself.
+///
+/// # Errors
+///
+/// Build and simulator failures.
+#[doc(hidden)]
+pub fn trace_slice(
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    config: &ExperimentConfig,
+    params: &ClassifierParams,
+    period: u64,
+) -> Result<(TickTrace, SimStats), MeasureError> {
+    let app = build_app(
+        benchmark,
+        variant.arch(),
+        &build_options(variant, config, period),
+        params,
+    )?;
+    let (platform, trace) = run_window(
+        &app,
+        calibration_slice(config).leads,
+        period,
+        config.forwarding,
+        Purpose::Calibrate,
+    )?;
+    Ok((trace, platform.stats().clone()))
+}
+
 /// Measures a configuration pinned to a given clock instead of
 /// searching for the minimum (the VFS-off ablation: same workload,
 /// baseline operating point), with a shared [`BuildCache`] like
@@ -621,7 +831,7 @@ pub fn measure_at_clock_cached(
     let options = build_options(variant, config, period);
     let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
     let full = recording(config, config.duration_s);
-    let platform = run_window(
+    let (platform, _) = run_window(
         &app,
         full.leads,
         period,
@@ -721,7 +931,7 @@ mod tests {
                 };
                 // 4 MHz: real time holds everywhere.
                 let (period, app) = (8_000, build(8_000));
-                let chunked =
+                let (chunked, _) =
                     run_window(&app, leads.clone(), period, false, Purpose::Measure).unwrap();
                 let reference = one_shot(&app, leads.clone(), period);
                 let cell = format!("{} {}", benchmark.name(), variant.label());
@@ -740,7 +950,7 @@ mod tests {
                 // 50 kHz: every benchmark overruns within a few samples.
                 let (period, app) = (100, build(100));
                 let total = app.config.adc.start_cycle + leads[0].len() as u64 * period;
-                let stopped =
+                let (stopped, _) =
                     run_window(&app, leads.clone(), period, false, Purpose::Search).unwrap();
                 assert!(stopped.adc_overruns() > 0, "{cell}");
                 assert!(stopped.stats().cycles < total, "{cell}");

@@ -100,13 +100,14 @@ impl BuiltApp {
     ///
     /// # Errors
     ///
-    /// Propagates platform construction errors.
+    /// Propagates platform construction errors, including more streams
+    /// than the image has ADC channels.
     pub fn platform(&self, streams: Vec<Vec<i16>>) -> Result<Platform, SimError> {
         let mut platform = Platform::new(self.config.clone(), &self.image)?;
         for &(point, count, participants) in &self.preloads {
             platform.preload_barrier(point, count, participants)?;
         }
-        platform.set_adc_streams(streams);
+        platform.set_adc_streams(streams)?;
         Ok(platform)
     }
 

@@ -92,6 +92,13 @@ pub enum ConfigError {
     TooManyAdcChannels(usize),
     /// ADC period must be non-zero.
     ZeroAdcPeriod,
+    /// More ADC sample streams than the ADC has channels.
+    TooManyAdcStreams {
+        /// Streams supplied.
+        streams: usize,
+        /// Channels configured.
+        channels: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -116,6 +123,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "{n} ADC channels exceed the MMIO window")
             }
             ConfigError::ZeroAdcPeriod => f.write_str("ADC period must be non-zero"),
+            ConfigError::TooManyAdcStreams { streams, channels } => {
+                write!(f, "{streams} ADC sample streams for {channels} channels")
+            }
         }
     }
 }

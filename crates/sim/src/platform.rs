@@ -9,7 +9,7 @@ use crate::adc::Adc;
 use crate::atu::{Atu, DmLocation, DmTarget};
 use crate::config::{InterconnectKind, PlatformConfig};
 use crate::cpu::{Core, MemIntent, Retire};
-use crate::error::{Fault, FaultKind, SimError};
+use crate::error::{ConfigError, Fault, FaultKind, SimError};
 use crate::memory::{DataMemory, InstrMemory};
 use crate::mmio::MmioReg;
 use crate::stats::SimStats;
@@ -265,8 +265,22 @@ impl Platform {
 
     /// Replaces the ADC sample streams (one per channel). Call before
     /// running.
-    pub fn set_adc_streams(&mut self, streams: Vec<Vec<i16>>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::TooManyAdcStreams`] when more streams than
+    /// ADC channels are supplied.
+    pub fn set_adc_streams(&mut self, streams: Vec<Vec<i16>>) -> Result<(), SimError> {
+        let channels = self.config.adc.channels;
+        if streams.len() > channels {
+            return Err(ConfigError::TooManyAdcStreams {
+                streams: streams.len(),
+                channels,
+            }
+            .into());
+        }
         self.adc = Adc::new(self.config.adc, streams);
+        Ok(())
     }
 
     /// Preloads a synchronization point (a building directive).
@@ -580,16 +594,17 @@ impl Platform {
     ///
     /// Returns the first fault or synchronization protocol violation.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
-        let exit = self.run_with(max_cycles, Platform::step_awake);
+        let exit = self.run_with(max_cycles, Platform::advance);
         self.flush_gated();
         exit
     }
 
-    /// The run loop around one cycle driver.
+    /// The run loop around one cycle driver, which advances at least one
+    /// cycle and never past `max_cycles`.
     fn run_with(
         &mut self,
         max_cycles: u64,
-        step: impl Fn(&mut Platform) -> Result<(), SimError>,
+        step: impl Fn(&mut Platform, u64) -> Result<(), SimError>,
     ) -> Result<RunExit, SimError> {
         while self.stats.cycles < max_cycles {
             debug_assert!(self.awake_mask_is_exact());
@@ -631,7 +646,7 @@ impl Platform {
                     }
                 }
             }
-            step(self)?;
+            step(self, max_cycles)?;
             if let Some((core, addr)) = self.watch_hit.take() {
                 return Ok(RunExit::Watchpoint { core, addr });
             }
@@ -714,6 +729,26 @@ impl Platform {
     fn step_awake(&mut self) -> Result<(), SimError> {
         if self.awake & self.awake.wrapping_sub(1) == 0 {
             self.step_lone()
+        } else {
+            self.step_arbitrated()
+        }
+    }
+
+    /// [`Platform::step_awake`] for the run loop: when exactly one core
+    /// is awake and no breakpoint or tight watchdog needs a check between
+    /// cycles, a lone-core burst instead of one cycle. The test sits in
+    /// the lone-core branch, so arbitrated cycles pay nothing for it.
+    #[inline(always)]
+    fn advance(&mut self, max_cycles: u64) -> Result<(), SimError> {
+        if self.awake & self.awake.wrapping_sub(1) == 0 {
+            if self.awake != 0
+                && self.breakpoints.is_empty()
+                && self.watchdog.is_none_or(|budget| budget >= 2)
+            {
+                self.burst(max_cycles)
+            } else {
+                self.step_lone()
+            }
         } else {
             self.step_arbitrated()
         }
@@ -812,26 +847,84 @@ impl Platform {
     fn step_lone(&mut self) -> Result<(), SimError> {
         let cycle = self.stats.cycles;
         self.tick_adc(cycle);
-        'slot: {
-            if self.awake == 0 {
-                break 'slot;
-            }
-            let idx = self.awake.trailing_zeros() as usize;
-            match self.issue(cycle, idx)? {
-                Issue::Bubble => break 'slot,
-                Issue::Fetch(pc) => self.fetch(cycle, idx, pc, Grant::Access)?,
-                Issue::Held => {}
-            }
-            let load = match self.resolve(cycle, idx)? {
-                Resolved::Hazard => break 'slot,
-                Resolved::Ready(load) => load,
-                Resolved::Dm(access) => self
-                    .dm_grant(cycle, access, Grant::Access)
-                    .expect("a granted access completes"),
-            };
-            self.retire(cycle, idx, load)?;
+        if self.awake != 0 {
+            self.lone_slot(cycle, self.awake.trailing_zeros() as usize)?;
         }
         self.commit(cycle)
+    }
+
+    /// Stages 2–6 for the lone awake slot `idx`, shared by
+    /// [`Platform::step_lone`] and [`Platform::burst`]; `true` when an
+    /// instruction retired.
+    #[inline(always)]
+    fn lone_slot(&mut self, cycle: u64, idx: usize) -> Result<bool, SimError> {
+        match self.issue(cycle, idx)? {
+            Issue::Bubble => return Ok(false),
+            Issue::Fetch(pc) => self.fetch(cycle, idx, pc, Grant::Access)?,
+            Issue::Held => {}
+        }
+        let load = match self.resolve(cycle, idx)? {
+            Resolved::Hazard => return Ok(false),
+            Resolved::Ready(load) => load,
+            Resolved::Dm(access) => self
+                .dm_grant(cycle, access, Grant::Access)
+                .expect("a granted access completes"),
+        };
+        self.retire(cycle, idx, load)?;
+        Ok(true)
+    }
+
+    /// Steps the lone awake core cycle after cycle up to the next ADC
+    /// tick or `max_cycles`, whichever comes first. Until then nothing
+    /// outside the core can change the platform, so the loop leaves out
+    /// what [`Platform::run_with`] and [`Platform::step_lone`] check
+    /// every cycle: the halted count, breakpoints (the caller admits
+    /// none), the empty mask and the ADC. It ends after the cycle that
+    /// stages a sync op or sleep, halts the core or hits a watchpoint,
+    /// and on a fault.
+    ///
+    /// The watchdog is checked once, after the burst. A lone core
+    /// stalls at most one cycle between retirements (a taken-branch
+    /// bubble or a load-use hazard, each right after a retirement), so
+    /// a budget of 2 or more cannot trip inside a burst; the caller
+    /// steps smaller budgets cycle by cycle. The progress state is left
+    /// as per-cycle stepping leaves it.
+    fn burst(&mut self, max_cycles: u64) -> Result<(), SimError> {
+        let end = self
+            .adc
+            .next_tick()
+            .map_or(max_cycles, |tick| tick.min(max_cycles));
+        if self.stats.cycles >= end {
+            // The ADC ticks this cycle.
+            return self.step_lone();
+        }
+        let mask = self.awake;
+        let idx = mask.trailing_zeros() as usize;
+        let mut last_retired = None;
+        let ended = loop {
+            let cycle = self.stats.cycles;
+            match self.lone_slot(cycle, idx) {
+                Ok(true) => last_retired = Some((cycle, self.instr_retired)),
+                Ok(false) => {}
+                Err(e) => break Err(e),
+            }
+            let staged = self.synchronizer.has_staged();
+            if staged {
+                if let Err(e) = self.commit_staged(cycle) {
+                    break Err(e);
+                }
+            }
+            self.stats.cycles += 1;
+            if staged || self.stats.cycles == end || self.awake != mask || self.watch_hit.is_some()
+            {
+                break Ok(());
+            }
+        };
+        if let (Some(_), Some((cycle, instr_total))) = (self.watchdog, last_retired) {
+            self.last_instr_total = instr_total;
+            self.last_progress_cycle = cycle + 1;
+        }
+        ended
     }
 
     fn crossbar(&self) -> bool {
@@ -1322,7 +1415,7 @@ mod tests {
         // Any latch surviving the gated interval would charge a phantom
         // stall after the wake.
         let mut p = single_core_platform(WAKE);
-        p.set_adc_streams(vec![vec![55]]);
+        p.set_adc_streams(vec![vec![55]]).unwrap();
         assert_eq!(p.run(100_000).unwrap(), RunExit::AllHalted);
         let cs = &p.stats().cores[0];
         assert!(cs.gated_cycles > 0, "core slept until the sample");
@@ -1374,7 +1467,7 @@ mod tests {
              sw r4, 0x200(r0)\n\
              halt\n",
         );
-        p.set_adc_streams(vec![vec![1234]]);
+        p.set_adc_streams(vec![vec![1234]]).unwrap();
         assert_eq!(p.run(100_000).unwrap(), RunExit::AllHalted);
         assert_eq!(p.peek_dm(0x200).unwrap(), 1234);
         assert_eq!(p.stats().adc_samples, 1);
@@ -1534,55 +1627,66 @@ mod tests {
         })
         .leads;
         let end = theirs.adc.start_cycle + leads[0].len() as u64 * theirs.adc.period_cycles;
-        p.set_adc_streams(leads);
+        p.set_adc_streams(leads).unwrap();
         (p, end)
     }
 
-    /// Runs a platform from `make` to `max_cycles` through the N-slot
-    /// driver alone and through the dispatching driver (which takes the
-    /// 1-slot instance whenever at most one core is awake), and asserts
-    /// the same exit, stats, recorder ring (retirements, stalled cycles
-    /// and events) and data memory.
-    fn assert_drivers_agree(label: &str, max_cycles: u64, make: impl Fn() -> Platform) -> RunExit {
+    /// Runs a platform from `make` to `max_cycles` by three routes: the
+    /// N-slot driver alone, the per-cycle dispatch (the 1-slot instance
+    /// whenever at most one core is awake) and [`Platform::run`]'s
+    /// driver (lone-core bursts). Asserts the same exit or error at the
+    /// same cycle, stats, recorder ring (retirements, stalled cycles and
+    /// events), watchdog progress mark and data memory.
+    fn assert_drivers_agree(
+        label: &str,
+        max_cycles: u64,
+        make: impl Fn() -> Platform,
+    ) -> Result<RunExit, SimError> {
         const RING: usize = 1 << 18;
-        let twins = [
-            Platform::step_arbitrated as fn(&mut Platform) -> Result<(), SimError>,
-            Platform::step_awake,
-        ]
-        .map(|driver| {
+        type Driver = fn(&mut Platform, u64) -> Result<(), SimError>;
+        let routes: [Driver; 3] = [
+            |p, _| p.step_arbitrated(),
+            |p, _| p.step_awake(),
+            Platform::advance,
+        ];
+        let runs = routes.map(|driver| {
             let mut p = make();
             p.enable_obs(ObsConfig {
                 ring: RING,
                 ..ObsConfig::default()
             });
-            let exit = p.run_with(max_cycles, driver).unwrap();
+            let exit = p.run_with(max_cycles, driver);
             p.flush_gated();
             (p, exit)
         });
-        let [(general, general_exit), (awake, awake_exit)] = twins;
-        assert_eq!(general_exit, awake_exit, "{label}");
-        assert_eq!(general.stats(), awake.stats(), "{label}");
         let entries = |p: &Platform| {
             let ring = p.obs().recorder().unwrap().events();
             ring.copied().collect::<Vec<_>>()
         };
-        let general_ring = entries(&general);
+        let (general, general_exit) = &runs[0];
+        let general_ring = entries(general);
         assert!(general_ring.len() < RING, "{label}: ring holds every entry");
-        assert_eq!(general_ring, entries(&awake), "{label}");
-        for bank in 0..wbsn_isa::DM_BANKS {
-            for row in 0..wbsn_isa::DM_BANK_WORDS {
-                let loc = DmLocation { bank, row };
-                assert_eq!(general.dm.read(loc), awake.dm.read(loc), "{label}");
+        for (route, (p, exit)) in ["per-cycle", "burst"].iter().zip(&runs[1..]) {
+            assert_eq!(general_exit, exit, "{label}: {route}");
+            assert_eq!(general.stats(), p.stats(), "{label}: {route}");
+            assert_eq!(general_ring, entries(p), "{label}: {route}");
+            let progress = |p: &Platform| (p.last_progress_cycle, p.last_instr_total);
+            assert_eq!(progress(general), progress(p), "{label}: {route}");
+            for bank in 0..wbsn_isa::DM_BANKS {
+                for row in 0..wbsn_isa::DM_BANK_WORDS {
+                    let loc = DmLocation { bank, row };
+                    assert_eq!(general.dm.read(loc), p.dm.read(loc), "{label}: {route}");
+                }
             }
         }
-        general_exit
+        general_exit.clone()
     }
 
-    /// The 1-slot instance must stay an instance: the arbitrated driver
-    /// runs the same single-core programs to the same stats, ring and
-    /// data memory.
+    /// The 1-slot instance and the bursts around it must stay instances:
+    /// the arbitrated driver runs the same single-core programs to the
+    /// same stats, ring and data memory.
     #[test]
-    fn both_cycle_drivers_agree_on_single_core_programs() {
+    fn all_cycle_drivers_agree_on_single_core_programs() {
         type Setup = fn(&mut Platform);
         let cases: [(&str, Setup); 7] = [
             (ARITHMETIC, |_| {}),
@@ -1590,7 +1694,7 @@ mod tests {
             (LOAD_USE, |_| {}),
             (LOAD_USE, |p| p.set_forwarding(true)),
             (SQUASH, |_| {}),
-            (WAKE, |p| p.set_adc_streams(vec![vec![55]])),
+            (WAKE, |p| p.set_adc_streams(vec![vec![55]]).unwrap()),
             (SYNC_READ, |p| p.preload_sync_point(0, 3, false).unwrap()),
         ];
         for (asm, setup) in cases {
@@ -1599,33 +1703,142 @@ mod tests {
                 setup(&mut p);
                 p
             });
-            assert_eq!(exit, RunExit::AllHalted, "{asm}");
+            assert_eq!(exit, Ok(RunExit::AllHalted), "{asm}");
         }
     }
 
     /// Multi-core programs in which all but one core sleep and then wake
-    /// move between the N-slot driver and the 1-slot instance; both
-    /// routes must end in the same state as the N-slot driver alone.
+    /// move between the N-slot driver, the 1-slot instance and bursts;
+    /// every route must end in the same state as the N-slot driver alone.
     #[test]
-    fn both_cycle_drivers_agree_when_cores_sleep_and_wake() {
-        let pair = || {
-            let producer = assemble_text("sinc 0\nsdec 0\nhalt\n").unwrap();
-            let consumer = assemble_text("snop 0\nsleep\nhalt\n").unwrap();
-            let mut linker = Linker::new();
-            linker.add_section(Section::in_bank("producer", producer, 0));
-            linker.add_section(Section::in_bank("consumer", consumer, 1));
-            linker.set_entry(0, "producer");
-            linker.set_entry(1, "consumer");
-            Platform::new(PlatformConfig::multi_core(), &linker.link().unwrap()).unwrap()
-        };
-        let exit = assert_drivers_agree("producer/consumer", 100_000, pair);
-        assert_eq!(exit, RunExit::AllHalted);
+    fn all_cycle_drivers_agree_when_cores_sleep_and_wake() {
+        let exit = assert_drivers_agree("producer/consumer", 100_000, producer_consumer);
+        assert_eq!(exit, Ok(RunExit::AllHalted));
 
         let options = wbsn_kernels::BuildOptions::default();
         let mf = wbsn_kernels::build_mf(wbsn_kernels::Arch::MultiCore, &options).unwrap();
         let (_, end) = kernel_platform(&mf, 0.1);
         let exit = assert_drivers_agree("3-lead MF, 0.1 s", end, || kernel_platform(&mf, 0.1).0);
-        assert_eq!(exit, RunExit::Quiescent, "the ADC stream ran out");
+        assert_eq!(exit, Ok(RunExit::Quiescent), "the ADC stream ran out");
+
+        let rpclass = rpclass_sc();
+        let (_, end) = kernel_platform(&rpclass, 0.1);
+        let exit = assert_drivers_agree("RP-CLASS SC, 0.1 s", end, || {
+            kernel_platform(&rpclass, 0.1).0
+        });
+        assert_eq!(exit, Ok(RunExit::Quiescent), "the ADC stream ran out");
+    }
+
+    fn producer_consumer() -> Platform {
+        let producer = assemble_text("sinc 0\nsdec 0\nhalt\n").unwrap();
+        let consumer = assemble_text("snop 0\nsleep\nhalt\n").unwrap();
+        let mut linker = Linker::new();
+        linker.add_section(Section::in_bank("producer", producer, 0));
+        linker.add_section(Section::in_bank("consumer", consumer, 1));
+        linker.set_entry(0, "producer");
+        linker.set_entry(1, "consumer");
+        Platform::new(PlatformConfig::multi_core(), &linker.link().unwrap()).unwrap()
+    }
+
+    /// RP-CLASS on one core at 2 MHz / 250 Hz: long lone-core stretches
+    /// between ADC ticks.
+    fn rpclass_sc() -> wbsn_kernels::BuiltApp {
+        let options = wbsn_kernels::BuildOptions {
+            adc_period_cycles: 8000,
+            ..wbsn_kernels::BuildOptions::default()
+        };
+        let params = wbsn_kernels::ClassifierParams::default_trained();
+        wbsn_kernels::build_rpclass(wbsn_kernels::Arch::SingleCore, &options, &params).unwrap()
+    }
+
+    /// Every way a burst can end early — a breakpoint, a watchpoint, a
+    /// `HALT`, a fault, a watchdog at each budget and the cycle limit —
+    /// lands at the same cycle with the same state on every route.
+    #[test]
+    fn all_cycle_drivers_agree_when_a_burst_ends_early() {
+        // 200 cycles of lone-core looping before the event.
+        const SPIN: &str = "li r1, 100\n\
+             spin: addi r1, r1, -1\n\
+             bne r1, r0, spin\n";
+        let halt = format!("{SPIN}li r2, 3\nsw r2, 0x40(r0)\nhalt\n");
+        let exit = assert_drivers_agree("halt", 10_000, || single_core_platform(&halt));
+        assert_eq!(exit, Ok(RunExit::AllHalted));
+
+        let exit = assert_drivers_agree("breakpoint", 10_000, || {
+            let mut p = single_core_platform(&halt);
+            p.add_breakpoint(3);
+            p
+        });
+        assert_eq!(exit, Ok(RunExit::Breakpoint { core: 0, pc: 3 }));
+
+        let exit = assert_drivers_agree("watchpoint", 10_000, || {
+            let mut p = single_core_platform(&halt);
+            p.add_watchpoint(0x40);
+            p
+        });
+        assert_eq!(
+            exit,
+            Ok(RunExit::Watchpoint {
+                core: 0,
+                addr: 0x40
+            })
+        );
+
+        // The limit lands on a taken-branch bubble: the watchdog's
+        // progress mark stays at the branch, one cycle back.
+        let exit = assert_drivers_agree("cycle limit", 151, || {
+            let mut p = single_core_platform(&halt);
+            p.set_watchdog(2);
+            p
+        });
+        assert_eq!(exit, Ok(RunExit::CycleLimit));
+
+        let fault = format!("{SPIN}li r2, 5\nsw r2, 0x10(r0)\nhalt\n");
+        let exit = assert_drivers_agree("fault", 10_000, || single_core_platform(&fault));
+        assert!(
+            matches!(
+                exit,
+                Err(SimError::Fault(Fault {
+                    kind: FaultKind::WriteToSyncRegion,
+                    ..
+                }))
+            ),
+            "{exit:?}"
+        );
+
+        // A watched kernel store inside every sample's processing.
+        let rpclass = rpclass_sc();
+        let (_, end) = kernel_platform(&rpclass, 0.1);
+        let exit = assert_drivers_agree("RP-CLASS SC watchpoint", end, || {
+            let mut p = kernel_platform(&rpclass, 0.1).0;
+            p.add_watchpoint(wbsn_kernels::layout::LEAD_COUNT_BASE);
+            p
+        });
+        assert!(matches!(exit, Ok(RunExit::Watchpoint { .. })), "{exit:?}");
+
+        // Budgets 0 and 1 step cycle by cycle, larger ones burst; none
+        // may change what the run does. The deadlocked tail trips every
+        // budget after the spin.
+        let deadlock = format!("{SPIN}snop 0\nsleep\nhalt\n");
+        for budget in [0, 1, 2, 1_000_000] {
+            let label = format!("watchdog {budget}");
+            let exit = assert_drivers_agree(&label, end, || {
+                let mut p = kernel_platform(&rpclass, 0.1).0;
+                p.set_watchdog(budget);
+                p
+            });
+            assert_eq!(exit, Ok(RunExit::Quiescent), "{label}");
+            let exit = assert_drivers_agree(&label, 10_000, || {
+                let mut p = single_core_platform(&deadlock);
+                p.set_watchdog(budget);
+                p
+            });
+            assert!(
+                matches!(&exit, Err(SimError::Watchdog(pm))
+                    if matches!(pm.trip, WatchdogTrip::Deadlock { .. })),
+                "{label}: {exit:?}"
+            );
+        }
     }
 
     /// Steps every benchmark on the single-core, hardware-sync and

@@ -174,7 +174,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect()
     };
-    platform.set_adc_streams(vec![channel(0), channel(1)]);
+    platform.set_adc_streams(vec![channel(0), channel(1)])?;
     platform.run(2_000 * (n as u64 + 4))?;
 
     let rounds = platform.peek_dm(SAMPLE_COUNT)?;

@@ -5,7 +5,7 @@ use wbsn::core::SyncError;
 use wbsn::dsp::ecg::{synthesize, EcgConfig};
 use wbsn::isa::{assemble_text, image, Linker, Section};
 use wbsn::kernels::{build_mf, Arch, BuildOptions};
-use wbsn::sim::{FaultKind, Platform, PlatformConfig, SimError};
+use wbsn::sim::{ConfigError, FaultKind, Platform, PlatformConfig, SimError};
 
 fn platform_from(src: &str) -> Platform {
     let mut linker = Linker::new();
@@ -84,6 +84,24 @@ fn missing_adc_channels_degrade_gracefully() {
         .peek_dm(wbsn::kernels::layout::LEAD_COUNT_BASE + 2)
         .expect("count");
     assert!(count2 as u64 >= samples - 1);
+}
+
+#[test]
+fn more_leads_than_adc_channels_is_a_config_error() {
+    // The MF image has three ADC channels; a fourth lead must be refused
+    // with an error, not a panic.
+    let app = build_mf(Arch::MultiCore, &BuildOptions::default()).expect("builds");
+    let lead = vec![0i16; 8];
+    let err = app
+        .platform(vec![lead; 4])
+        .expect_err("four leads on three channels");
+    assert!(matches!(
+        err,
+        SimError::Config(ConfigError::TooManyAdcStreams {
+            streams: 4,
+            channels: 3
+        })
+    ));
 }
 
 #[test]
