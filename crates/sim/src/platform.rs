@@ -57,6 +57,8 @@ struct Slot {
     /// While gated: the first cycle whose gated time is not yet charged
     /// to the core's `gated_cycles` (see [`Platform::flush_gated`]).
     gated_since: u64,
+    /// The open stall run: its cause and length in cycles.
+    stall_run: Option<(StallCause, u64)>,
 }
 
 /// The word a ready instruction retires with: its loaded value, or
@@ -224,6 +226,7 @@ impl Platform {
                     bubble: false,
                     present,
                     gated_since: 0,
+                    stall_run: None,
                 }
             })
             .collect::<Vec<_>>();
@@ -346,7 +349,7 @@ impl Platform {
     /// keeps the last `config.ring` events, retirements and stalled
     /// cycles in the recorder's ring.
     ///
-    /// Call [`Platform::finish_obs`] after the last cycle to flush open
+    /// Call [`Platform::finish_obs`] after the last cycle to close open
     /// stall runs and gated intervals before reading results.
     pub fn enable_obs(&mut self, config: ObsConfig) {
         self.obs.enable(self.config.cores, config);
@@ -358,11 +361,13 @@ impl Platform {
         &self.obs
     }
 
-    /// Ends the observation: flushes open stall runs, attributes open
+    /// Ends the observation: closes open stall runs, attributes open
     /// gated intervals, and lets sinks close open timeline slices.
     /// Idempotent; a no-op when observability is disabled.
     pub fn finish_obs(&mut self) {
-        self.obs.finish(self.stats.cycles);
+        let cycle = self.stats.cycles;
+        (0..self.slots.len()).for_each(|idx| self.close_stall_run(cycle, idx));
+        self.obs.finish(cycle);
     }
 
     /// Adds an instruction breakpoint: [`Platform::run`] stops with
@@ -718,40 +723,28 @@ impl Platform {
     ///
     /// Returns the first fault or synchronization protocol violation.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let stepped = self.step_awake();
+        let stepped = self.advance(self.stats.cycles + 1);
         self.flush_gated();
         stepped
     }
 
-    /// One cycle: the 1-slot instance when at most one core is awake,
-    /// the arbitrated driver otherwise.
-    #[inline(always)]
-    fn step_awake(&mut self) -> Result<(), SimError> {
-        if self.awake & self.awake.wrapping_sub(1) == 0 {
-            self.step_lone()
-        } else {
-            self.step_arbitrated()
-        }
-    }
-
-    /// [`Platform::step_awake`] for the run loop: when exactly one core
-    /// is awake and no breakpoint or tight watchdog needs a check between
-    /// cycles, a lone-core burst instead of one cycle. The test sits in
-    /// the lone-core branch, so arbitrated cycles pay nothing for it.
+    /// The cycle driver of the run loop: the arbitrated driver for one
+    /// cycle when two or more cores are awake, a burst otherwise. The
+    /// burst stops at `max_cycles`, or after one cycle when a breakpoint
+    /// or a watchdog budget below 2 needs a check between cycles. The
+    /// test sits in the burst branch, so arbitrated cycles pay nothing
+    /// for it.
     #[inline(always)]
     fn advance(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        if self.awake & self.awake.wrapping_sub(1) == 0 {
-            if self.awake != 0
-                && self.breakpoints.is_empty()
-                && self.watchdog.is_none_or(|budget| budget >= 2)
-            {
-                self.burst(max_cycles)
-            } else {
-                self.step_lone()
-            }
-        } else {
-            self.step_arbitrated()
+        if self.awake & self.awake.wrapping_sub(1) != 0 {
+            return self.step_arbitrated();
         }
+        let limit = if self.breakpoints.is_empty() && self.watchdog.is_none_or(|b| b >= 2) {
+            max_cycles
+        } else {
+            self.stats.cycles + 1
+        };
+        self.burst(limit)
     }
 
     /// One cycle of the stage pipeline for any number of awake slots:
@@ -838,23 +831,7 @@ impl Platform {
         self.commit(cycle)
     }
 
-    /// The same pipeline for at most one awake slot. A lone request
-    /// always wins its bank, so gathering and arbitration collapse into
-    /// an implicit [`Grant::Access`] and no scratch buffer is touched.
-    /// The stages are `#[inline(always)]` so that this constant grant
-    /// folds away: left to the inliner, single-core throughput dropped
-    /// by about a quarter on a 2-vCPU x86-64 host.
-    fn step_lone(&mut self) -> Result<(), SimError> {
-        let cycle = self.stats.cycles;
-        self.tick_adc(cycle);
-        if self.awake != 0 {
-            self.lone_slot(cycle, self.awake.trailing_zeros() as usize)?;
-        }
-        self.commit(cycle)
-    }
-
-    /// Stages 2–6 for the lone awake slot `idx`, shared by
-    /// [`Platform::step_lone`] and [`Platform::burst`]; `true` when an
+    /// Stages 2–6 for the lone awake slot `idx`; `true` when an
     /// instruction retired.
     #[inline(always)]
     fn lone_slot(&mut self, cycle: u64, idx: usize) -> Result<bool, SimError> {
@@ -874,31 +851,35 @@ impl Platform {
         Ok(true)
     }
 
-    /// Steps the lone awake core cycle after cycle up to the next ADC
-    /// tick or `max_cycles`, whichever comes first. Until then nothing
-    /// outside the core can change the platform, so the loop leaves out
-    /// what [`Platform::run_with`] and [`Platform::step_lone`] check
-    /// every cycle: the halted count, breakpoints (the caller admits
-    /// none), the empty mask and the ADC. It ends after the cycle that
-    /// stages a sync op or sleep, halts the core or hits a watchpoint,
-    /// and on a fault.
+    /// The same pipeline for at most one awake core, stepped from this
+    /// cycle, whose ADC tick it runs, up to the next tick or `limit`,
+    /// whichever comes first (with no core awake, this cycle alone). A
+    /// lone request always wins its bank, so gathering and arbitration
+    /// collapse into an implicit [`Grant::Access`]; the stages are
+    /// `#[inline(always)]` so that this constant grant folds away (left
+    /// to the inliner, single-core throughput dropped by about a quarter
+    /// on a 2-vCPU x86-64 host).
+    ///
+    /// Until the next tick nothing outside the core can change the
+    /// platform, so the loop leaves out what [`Platform::run_with`]
+    /// checks every cycle: the halted count, breakpoints (the caller
+    /// admits none past the first cycle), the empty mask and the ADC. It
+    /// ends after the cycle that stages a sync op, sleep or interrupt,
+    /// halts the core or hits a watchpoint, and on a fault.
     ///
     /// The watchdog is checked once, after the burst. A lone core
     /// stalls at most one cycle between retirements (a taken-branch
     /// bubble or a load-use hazard, each right after a retirement), so
     /// a budget of 2 or more cannot trip inside a burst; the caller
-    /// steps smaller budgets cycle by cycle. The progress state is left
-    /// as per-cycle stepping leaves it.
-    fn burst(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        let end = self
-            .adc
-            .next_tick()
-            .map_or(max_cycles, |tick| tick.min(max_cycles));
-        if self.stats.cycles >= end {
-            // The ADC ticks this cycle.
-            return self.step_lone();
-        }
+    /// passes a one-cycle limit for smaller budgets. The progress state
+    /// is left as per-cycle stepping leaves it.
+    fn burst(&mut self, limit: u64) -> Result<(), SimError> {
+        self.tick_adc(self.stats.cycles);
         let mask = self.awake;
+        if mask == 0 {
+            return self.commit(self.stats.cycles);
+        }
+        let end = self.adc.next_tick().map_or(limit, |tick| tick.min(limit));
         let idx = mask.trailing_zeros() as usize;
         let mut last_retired = None;
         let ended = loop {
@@ -915,7 +896,7 @@ impl Platform {
                 }
             }
             self.stats.cycles += 1;
-            if staged || self.stats.cycles == end || self.awake != mask || self.watch_hit.is_some()
+            if staged || self.stats.cycles >= end || self.awake != mask || self.watch_hit.is_some()
             {
                 break Ok(());
             }
@@ -1114,9 +1095,11 @@ impl Platform {
         })
     }
 
-    /// Stage 6: retires the held instruction of one slot.
+    /// Stage 6: retires the held instruction of one slot, which ends its
+    /// open stall run.
     #[inline(always)]
     fn retire(&mut self, cycle: u64, idx: usize, load: Load) -> Result<(), SimError> {
+        self.close_stall_run(cycle, idx);
         let slot = &mut self.slots[idx];
         let instr = slot
             .held
@@ -1197,9 +1180,10 @@ impl Platform {
         Ok(())
     }
 
-    /// Records one stalled cycle of `core` at `pc` in both places that
-    /// count stalls: the per-core counter and the observability recorder
-    /// (its stall run and its ring).
+    /// Records one stalled cycle of `core` at `pc` where stalls are
+    /// counted: the per-core counter, the core's open stall run (a
+    /// change of cause closes the old run first) and the recorder's
+    /// per-cycle detail.
     fn record_stall(&mut self, cycle: u64, core: usize, pc: u32, cause: StallCause) {
         let cs = &mut self.stats.cores[core];
         match cause {
@@ -1207,7 +1191,25 @@ impl Platform {
             StallCause::DmConflict => cs.stall_dm += 1,
             StallCause::LoadUseHazard => cs.stall_hazard += 1,
         }
+        match &mut self.slots[core].stall_run {
+            Some((open, len)) if *open == cause => *len += 1,
+            run => {
+                if let Some((open, len)) = run.replace((cause, 1)) {
+                    self.obs.stall_run(cycle, core, open, len);
+                }
+            }
+        }
         self.obs.stall(cycle, core, pc, cause);
+    }
+
+    /// Hands `core`'s open stall run, if any, to the recorder as ended
+    /// at `cycle`.
+    #[inline(always)]
+    fn close_stall_run(&mut self, cycle: u64, core: usize) {
+        if let Some((cause, len)) = self.slots[core].stall_run {
+            self.slots[core].stall_run = None;
+            self.obs.stall_run(cycle, core, cause, len);
+        }
     }
 
     /// Resolves the instruction at `pc`: predecoded fast path by
@@ -1631,12 +1633,56 @@ mod tests {
         (p, end)
     }
 
+    /// Stall runs close where stalls are counted: a change of cause
+    /// and the retirement stage close the open run at their cycle, and a
+    /// run still open at [`Platform::finish_obs`] closes there once.
+    #[test]
+    fn stall_runs_coalesce_and_close_on_retire_and_finish() {
+        let runs = |p: &Platform| {
+            let ring = p.obs().recorder().unwrap().events();
+            ring.filter_map(|t| match t.event {
+                wbsn_obs::Event::StallRun { cause, len, .. } => Some((t.cycle, cause, len)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+        };
+        let mut p = single_core_platform("nop\nhalt\n");
+        p.enable_obs(ObsConfig {
+            counting: true,
+            ring: 16,
+            ..ObsConfig::default()
+        });
+        p.record_stall(5, 0, 0x10, StallCause::DmConflict);
+        p.record_stall(6, 0, 0x10, StallCause::DmConflict);
+        p.record_stall(7, 0, 0x10, StallCause::LoadUseHazard);
+        p.slots[0].held = Some(DecodedInstr::new(Instr::Nop));
+        p.retire(8, 0, None).unwrap();
+        p.finish_obs();
+        let retired = vec![
+            (7, StallCause::DmConflict, 2),
+            (8, StallCause::LoadUseHazard, 1),
+        ];
+        assert_eq!(runs(&p), retired);
+        let counting = p.obs().recorder().unwrap().counting().unwrap();
+        assert_eq!(counting.stall_run_cycles.sum(), 3);
+        assert_eq!(counting.stall_run_cycles.count(), 2);
+
+        p.record_stall(9, 0, 0x11, StallCause::ImConflict);
+        p.record_stall(10, 0, 0x11, StallCause::ImConflict);
+        p.stats.cycles = 11;
+        p.finish_obs();
+        p.finish_obs();
+        let finished = [retired, vec![(11, StallCause::ImConflict, 2)]].concat();
+        assert_eq!(runs(&p), finished);
+    }
+
     /// Runs a platform from `make` to `max_cycles` by three routes: the
-    /// N-slot driver alone, the per-cycle dispatch (the 1-slot instance
-    /// whenever at most one core is awake) and [`Platform::run`]'s
-    /// driver (lone-core bursts). Asserts the same exit or error at the
-    /// same cycle, stats, recorder ring (retirements, stalled cycles and
-    /// events), watchdog progress mark and data memory.
+    /// N-slot driver alone, one-cycle [`Platform::advance`] as
+    /// [`Platform::step`] runs it (one-cycle bursts whenever at most one
+    /// core is awake) and [`Platform::run`]'s driver (lone-core bursts).
+    /// Asserts the same exit or error at the same cycle, stats, recorder
+    /// ring (retirements, stalled cycles and events), watchdog progress
+    /// mark and data memory.
     fn assert_drivers_agree(
         label: &str,
         max_cycles: u64,
@@ -1646,7 +1692,7 @@ mod tests {
         type Driver = fn(&mut Platform, u64) -> Result<(), SimError>;
         let routes: [Driver; 3] = [
             |p, _| p.step_arbitrated(),
-            |p, _| p.step_awake(),
+            |p, _| p.advance(p.stats.cycles + 1),
             Platform::advance,
         ];
         let runs = routes.map(|driver| {
@@ -1682,8 +1728,8 @@ mod tests {
         general_exit.clone()
     }
 
-    /// The 1-slot instance and the bursts around it must stay instances:
-    /// the arbitrated driver runs the same single-core programs to the
+    /// Bursts of any length must stay instances of the pipeline: the
+    /// arbitrated driver runs the same single-core programs to the
     /// same stats, ring and data memory.
     #[test]
     fn all_cycle_drivers_agree_on_single_core_programs() {
@@ -1708,7 +1754,7 @@ mod tests {
     }
 
     /// Multi-core programs in which all but one core sleep and then wake
-    /// move between the N-slot driver, the 1-slot instance and bursts;
+    /// move between the N-slot driver and bursts;
     /// every route must end in the same state as the N-slot driver alone.
     #[test]
     fn all_cycle_drivers_agree_when_cores_sleep_and_wake() {
@@ -1816,7 +1862,7 @@ mod tests {
         });
         assert!(matches!(exit, Ok(RunExit::Watchpoint { .. })), "{exit:?}");
 
-        // Budgets 0 and 1 step cycle by cycle, larger ones burst; none
+        // Budgets 0 and 1 run one-cycle bursts, larger ones longer; none
         // may change what the run does. The deadlocked tail trips every
         // budget after the spin.
         let deadlock = format!("{SPIN}snop 0\nsleep\nhalt\n");
