@@ -8,15 +8,13 @@
 //! * `WBSN_DURATION_S` — observation window (default 60 s).
 //! * `WBSN_NO_BROADCAST=1` — ablation: disable crossbar broadcasting.
 
+use wbsn_bench::experiment::duration_from_env;
 use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
 use wbsn_kernels::ClassifierParams;
 
 fn main() {
     let config = ExperimentConfig {
-        duration_s: std::env::var("WBSN_DURATION_S")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(60.0),
+        duration_s: duration_from_env(60.0),
         disable_broadcast: std::env::var("WBSN_NO_BROADCAST").is_ok(),
         ..ExperimentConfig::default()
     };

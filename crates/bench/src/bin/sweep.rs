@@ -18,6 +18,7 @@
 //!   hardware-sync cells (the default grid includes them so the record
 //!   diffs the load-use stall bucket before and after each fix).
 
+use wbsn_bench::experiment::{duration_from_env, parse_duration};
 use wbsn_bench::sweep::requested_json_path;
 use wbsn_bench::{run_sweep, BenchmarkId, ExperimentConfig, RunVariant, SweepCell, SweepOptions};
 use wbsn_kernels::ClassifierParams;
@@ -52,10 +53,7 @@ fn main() {
         RunVariant::MultiCoreSync,
         RunVariant::MultiCoreBusyWait,
     ];
-    let mut duration_s: f64 = std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
+    let mut duration_s = duration_from_env(60.0);
     let mut options = SweepOptions::default();
     let mut json_path = requested_json_path().unwrap_or_else(|| String::from("BENCH_sweep.json"));
     let mut fix_cells = true;
@@ -77,9 +75,8 @@ fn main() {
                 variants = value("--variants").split(',').map(parse_variant).collect();
             }
             "--duration" => {
-                duration_s = value("--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("--duration needs seconds"));
+                duration_s = parse_duration(&value("--duration"))
+                    .unwrap_or_else(|e| die(&format!("--duration: {e}")));
             }
             "--workers" => {
                 options.workers = Some(

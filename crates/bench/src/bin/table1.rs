@@ -5,21 +5,15 @@
 //! Usage: `cargo run --release -p wbsn-bench --bin table1`
 //! (set `WBSN_DURATION_S` to override the 60 s observation window).
 
+use wbsn_bench::experiment::duration_from_env;
 use wbsn_bench::{
     run_sweep, BenchmarkId, ExperimentConfig, Measurement, RunVariant, SweepCell, SweepOptions,
 };
 use wbsn_kernels::ClassifierParams;
 
-fn duration_from_env() -> f64 {
-    std::env::var("WBSN_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0)
-}
-
 fn main() {
     let config = ExperimentConfig {
-        duration_s: duration_from_env(),
+        duration_s: duration_from_env(60.0),
         ..ExperimentConfig::default()
     };
     let params = ClassifierParams::default_trained();

@@ -18,21 +18,32 @@
 //!    simulated: every sample gated all cores in less than the rung's
 //!    period, so the rung would replay the calibration trace tick for
 //!    tick. Only a search run that would be thrown away is skipped.
+//!    When the window is longer than the slice, each simulated rung's
+//!    measurement run starts beside its search run, on a second thread:
+//!    if the slice passes, that run is step 3's first attempt; if the
+//!    slice overruns or faults, it is cancelled at its next sample and
+//!    dropped.
 //! 3. **Measure** — re-run the full observation window with the sampling
-//!    period implied by the chosen clock, verify no ADC overruns (else
-//!    climb again), and integrate the run into the Fig. 6 power
-//!    decomposition.
+//!    period implied by the chosen clock (the overlapped run, when the
+//!    search simulated its rung), verify no ADC overruns (else climb
+//!    again), and integrate the run into the Fig. 6 power decomposition.
 //!
 //! Only runs that can become the returned [`Measurement`] pay for the
-//! counting sink: every measurement attempt, and the search runs when
-//! the window fits inside the calibration slice (then the feasible
-//! search run *is* the measurement). Every search or measurement run
-//! stops at its first ADC overrun, because an overrunning run is always
-//! thrown away. None of this changes a clock, a µW figure or a digest.
+//! counting sink: every measurement attempt, overlapped or not, and the
+//! search runs when the window fits inside the calibration slice (then
+//! the feasible search run *is* the measurement). Every search or
+//! measurement run stops at its first ADC overrun, because an
+//! overrunning run is always thrown away. An overlapped run hands its
+//! result, fault included, to step 3 unread, and step 3 looks its image
+//! up in the cache as the serial attempt would, so the flow returns the
+//! same clock, µW figure, digest, error and cache counters as running
+//! the three steps one after another.
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use wbsn_dsp::ecg::{synthesize, EcgConfig, EcgRecording};
 use wbsn_kernels::app::benchmark_config;
@@ -162,6 +173,65 @@ impl Default for ExperimentConfig {
     }
 }
 
+impl ExperimentConfig {
+    /// Rejects a configuration that describes no recording.
+    fn validate(&self) -> Result<(), MeasureError> {
+        if !positive_seconds(self.duration_s) {
+            return Err(MeasureError::InvalidConfig(
+                "duration_s must be finite and positive",
+            ));
+        }
+        if !positive_seconds(self.calibration_s) {
+            return Err(MeasureError::InvalidConfig(
+                "calibration_s must be finite and positive",
+            ));
+        }
+        if self.fs == 0 {
+            return Err(MeasureError::InvalidConfig("fs must be positive"));
+        }
+        if !(0.0..=1.0).contains(&self.pathological_fraction) {
+            return Err(MeasureError::InvalidConfig(
+                "pathological_fraction must lie in 0..=1",
+            ));
+        }
+        Ok(())
+    }
+}
+
+fn positive_seconds(seconds: f64) -> bool {
+    seconds.is_finite() && seconds > 0.0
+}
+
+/// Parses an observation window in seconds.
+///
+/// # Errors
+///
+/// The text is not a finite, positive number.
+pub fn parse_duration(text: &str) -> Result<f64, String> {
+    match text.parse() {
+        Ok(seconds) if positive_seconds(seconds) => Ok(seconds),
+        _ => Err(format!(
+            "{text:?} is not a finite, positive number of seconds"
+        )),
+    }
+}
+
+/// The observation window of the results binaries: `WBSN_DURATION_S`
+/// seconds when set, else `default`. Exits the process with code 2 when
+/// the variable is set but not a finite, positive number.
+pub fn duration_from_env(default: f64) -> f64 {
+    match std::env::var("WBSN_DURATION_S") {
+        Err(std::env::VarError::NotPresent) => default,
+        value => value
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_duration(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("WBSN_DURATION_S: {e}");
+                std::process::exit(2)
+            }),
+    }
+}
+
 /// Everything measured for one `(benchmark, variant)` configuration.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -226,6 +296,10 @@ impl Measurement {
 /// Errors of the measurement flow.
 #[derive(Debug)]
 pub enum MeasureError {
+    /// The experiment configuration describes no recording: a duration
+    /// that is not finite and positive, a zero sampling rate, or a
+    /// pathological-beat fraction outside `0..=1`.
+    InvalidConfig(&'static str),
     /// The application failed to build.
     Build(BuildError),
     /// The simulator faulted.
@@ -257,6 +331,7 @@ pub enum MeasureError {
 impl fmt::Display for MeasureError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            MeasureError::InvalidConfig(what) => write!(f, "invalid experiment: {what}"),
             MeasureError::Build(e) => write!(f, "build failed: {e}"),
             MeasureError::Sim(e) => write!(f, "simulation failed: {e}"),
             MeasureError::Infeasible { required_hz } => {
@@ -436,14 +511,20 @@ enum Purpose {
     Measure,
 }
 
+/// The cancel flag of a run that nothing cancels.
+static UNCANCELLED: AtomicBool = AtomicBool::new(false);
+
 /// Simulates `leads` on `app` at ADC `period`. The tick trace is
 /// recorded for [`Purpose::Calibrate`] runs and left empty otherwise.
+/// Once `cancel` is set the run stops at its next sample boundary, and
+/// its platform is only fit to be dropped.
 fn run_window(
     app: &BuiltApp,
     leads: Vec<Vec<i16>>,
     period: u64,
     forwarding: bool,
     purpose: Purpose,
+    cancel: &AtomicBool,
 ) -> Result<(Platform, TickTrace), SimError> {
     let samples = leads[0].len() as u64;
     let start = app.config.adc.start_cycle;
@@ -467,6 +548,9 @@ fn run_window(
     let mut target = start;
     loop {
         let exit = platform.run(target)?;
+        if cancel.load(Ordering::Relaxed) {
+            return Ok((platform, trace));
+        }
         if purpose == Purpose::Calibrate {
             // `run` returns `Quiescent` at the first cycle with every
             // core gated, `CycleLimit` at the target otherwise.
@@ -576,21 +660,45 @@ impl Cell<'_> {
     }
 }
 
+/// What becomes of the search run at the rung that passes.
+#[derive(Clone, Copy)]
+enum Passing<'a> {
+    /// It is the measurement: the window is the calibration slice, so
+    /// the run carries the counting sink and is returned.
+    Kept,
+    /// It is thrown away: the window is this longer recording, and each
+    /// simulated rung's measurement over it runs beside the search run.
+    Overlapped(&'a EcgRecording),
+    /// It is thrown away, and nothing runs beside it.
+    Dropped,
+}
+
+/// A run that step 2 hands to step 3 as its first measurement attempt.
+enum FirstAttempt {
+    /// The passing search run, when the window is the slice.
+    Kept(Arc<BuiltApp>, Platform),
+    /// The measurement run that ran beside the passing search run. Step
+    /// 3 reads its result only where the serial attempt would have run,
+    /// and looks its image up as that attempt would.
+    Overlapped(Result<Platform, SimError>),
+}
+
 /// Where steps 1 and 2 left a cell.
 struct Searched {
     /// The clock the search settled on.
     required_hz: f64,
-    /// The feasible search run, when it is the measurement.
-    kept: Option<(Arc<BuiltApp>, Platform)>,
+    /// Step 3's first attempt, when step 2 already ran it.
+    first: Option<FirstAttempt>,
     /// The period of the rung that passed without being simulated.
     certified: Option<u64>,
 }
 
 /// Steps 1 and 2: calibration and the feasibility search over the
-/// calibration slice `calib`. With `keep` the feasible search run is
-/// the measurement, so it carries the counting sink and is returned.
-fn search(cell: &Cell, calib: &EcgRecording, keep: bool) -> Result<Searched, MeasureError> {
+/// calibration slice `calib`; `passing` says what becomes of the search
+/// run at the rung that passes.
+fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searched, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
+    let forwarding = cell.config.forwarding;
     // 1. Seed the search with the average per-sample demand (measured at
     // a generous reference clock where real time trivially holds).
     // Busy-wait cores spin between samples, so their active cycles say
@@ -604,8 +712,9 @@ fn search(cell: &Cell, calib: &EcgRecording, keep: bool) -> Result<Searched, Mea
             &app,
             calib.leads.clone(),
             CALIBRATION_PERIOD,
-            cell.config.forwarding,
+            forwarding,
             Purpose::Calibrate,
+            &UNCANCELLED,
         )?;
         let stats = platform.stats();
         let samples = stats.adc_samples.max(1) as f64;
@@ -623,6 +732,7 @@ fn search(cell: &Cell, calib: &EcgRecording, keep: bool) -> Result<Searched, Mea
     // real-time constraints" criterion (work may pipeline across
     // sampling periods thanks to the data registers and buffering, so
     // worst-window heuristics alone are too conservative).
+    let keep = matches!(passing, Passing::Kept);
     let purpose = if keep {
         Purpose::Measure
     } else {
@@ -642,23 +752,63 @@ fn search(cell: &Cell, calib: &EcgRecording, keep: bool) -> Result<Searched, Mea
         if !keep && trace.as_ref().is_some_and(|t| t.certifies(&rung)) {
             return Ok(Searched {
                 required_hz,
-                kept: None,
+                first: None,
                 certified: Some(period),
             });
         }
         let app = cell.build(period)?;
-        let (platform, _) = run_window(
-            &app,
-            calib.leads.clone(),
-            period,
-            cell.config.forwarding,
-            purpose,
-        )?;
+        let slice = || {
+            run_window(
+                &app,
+                calib.leads.clone(),
+                period,
+                forwarding,
+                purpose,
+                &UNCANCELLED,
+            )
+        };
+        let (searched, overlapped) = match passing {
+            Passing::Overlapped(window) => {
+                // The rung's measurement runs beside its search run, on
+                // the same image; it is cancelled unless the slice passes.
+                // The flag publishes no data (the join orders the run's
+                // result), so it is read and written `Relaxed`.
+                let cancel = AtomicBool::new(false);
+                thread::scope(|scope| {
+                    let measure = scope.spawn(|| {
+                        run_window(
+                            &app,
+                            window.leads.clone(),
+                            period,
+                            forwarding,
+                            Purpose::Measure,
+                            &cancel,
+                        )
+                    });
+                    let searched = slice();
+                    let passed = matches!(&searched, Ok((p, _)) if p.adc_overruns() == 0);
+                    if !passed {
+                        cancel.store(true, Ordering::Relaxed);
+                    }
+                    let measured = measure
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    (searched, passed.then_some(measured))
+                })
+            }
+            Passing::Kept | Passing::Dropped => (slice(), None),
+        };
+        let (platform, _) = searched?;
         overruns = platform.adc_overruns();
         if overruns == 0 {
+            let first = if keep {
+                Some(FirstAttempt::Kept(app, platform))
+            } else {
+                overlapped.map(|run| FirstAttempt::Overlapped(run.map(|(platform, _)| platform)))
+            };
             return Ok(Searched {
                 required_hz,
-                kept: keep.then_some((app, platform)),
+                first,
                 certified: None,
             });
         }
@@ -684,6 +834,7 @@ pub fn measure_cached(
     params: &ClassifierParams,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
+    config.validate()?;
     let cell = Cell {
         benchmark,
         variant,
@@ -696,24 +847,31 @@ pub fn measure_cached(
     // When the observation window fits inside the calibration slice the
     // recordings are identical, so the successful feasibility run IS the
     // measurement run (the simulator is deterministic): it counts, and
-    // it is returned instead of stepping the same window twice.
-    let reuse = calib.leads == full.leads;
+    // it is returned instead of stepping the same window twice. Otherwise
+    // each simulated rung's measurement runs beside its search run.
+    let passing = if calib.leads == full.leads {
+        Passing::Kept
+    } else {
+        Passing::Overlapped(&full)
+    };
     let Searched {
-        required_hz, kept, ..
-    } = search(&cell, &calib, reuse)?;
+        required_hz, first, ..
+    } = search(&cell, &calib, passing)?;
     // 3. Measurement runs; the calibration slice may have missed the
     // worst window, so residual overruns bump the clock.
-    measure_window(&cell, &full, required_hz, kept, 6)
+    measure_window(&cell, &full, required_hz, first, 6)
 }
 
 /// Step 3: measurement runs over `full` from `required_hz`, bumping the
-/// clock on residual overruns, for at most `attempts` runs. `kept`, a
-/// feasible search run over the same window, is the first attempt.
+/// clock on residual overruns, for at most `attempts` runs. `first`, a
+/// run over the same window at `required_hz` that step 2 already made,
+/// is the first attempt, and is climbed from like any other when it
+/// overran.
 fn measure_window(
     cell: &Cell,
     full: &EcgRecording,
     mut required_hz: f64,
-    mut kept: Option<(Arc<BuiltApp>, Platform)>,
+    mut first: Option<FirstAttempt>,
     attempts: usize,
 ) -> Result<Measurement, MeasureError> {
     let vfs = VfsTable::ninety_nm_low_leakage();
@@ -725,10 +883,11 @@ fn measure_window(
         let op = vfs
             .min_point_for(required_hz, cell.variant.interconnect())
             .ok_or(MeasureError::Infeasible { required_hz })?;
-        let (app, platform) = match kept.take() {
-            Some(run) => run,
+        let period = period_at(cell.config, required_hz);
+        let (app, platform) = match first.take() {
+            Some(FirstAttempt::Kept(app, platform)) => (app, platform),
+            Some(FirstAttempt::Overlapped(run)) => (cell.build(period)?, run?),
             None => {
-                let period = period_at(cell.config, required_hz);
                 let app = cell.build(period)?;
                 let (platform, _) = run_window(
                     &app,
@@ -736,6 +895,7 @@ fn measure_window(
                     period,
                     cell.config.forwarding,
                     Purpose::Measure,
+                    &UNCANCELLED,
                 )?;
                 (app, platform)
             }
@@ -762,7 +922,7 @@ fn measure_window(
 /// its feasibility search without being simulated, or `None` when the
 /// search simulated the rung it settled on. The search runs as it does
 /// inside [`measure`] when the window is longer than the calibration
-/// slice.
+/// slice, without the measurement runs beside it.
 ///
 /// # Errors
 ///
@@ -774,6 +934,7 @@ pub fn certified_rung(
     config: &ExperimentConfig,
     params: &ClassifierParams,
 ) -> Result<Option<u64>, MeasureError> {
+    config.validate()?;
     let cell = Cell {
         benchmark,
         variant,
@@ -782,7 +943,7 @@ pub fn certified_rung(
         cache: &BuildCache::new(),
     };
     let calib = calibration_slice(config);
-    Ok(search(&cell, &calib, false)?.certified)
+    Ok(search(&cell, &calib, Passing::Dropped)?.certified)
 }
 
 /// Simulates the calibration slice of `config` at ADC `period`, whatever
@@ -800,6 +961,7 @@ pub fn trace_slice(
     params: &ClassifierParams,
     period: u64,
 ) -> Result<(TickTrace, SimStats), MeasureError> {
+    config.validate()?;
     let app = build_app(
         benchmark,
         variant.arch(),
@@ -812,6 +974,7 @@ pub fn trace_slice(
         period,
         config.forwarding,
         Purpose::Calibrate,
+        &UNCANCELLED,
     )?;
     Ok((trace, platform.stats().clone()))
 }
@@ -832,6 +995,7 @@ pub fn measure_at_clock_cached(
     clock_hz: f64,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
+    config.validate()?;
     let cell = Cell {
         benchmark,
         variant,
@@ -930,8 +1094,15 @@ mod tests {
                 };
                 // 4 MHz: real time holds everywhere.
                 let (period, app) = (8_000, build(8_000));
-                let (chunked, _) =
-                    run_window(&app, leads.clone(), period, false, Purpose::Measure).unwrap();
+                let (chunked, _) = run_window(
+                    &app,
+                    leads.clone(),
+                    period,
+                    false,
+                    Purpose::Measure,
+                    &UNCANCELLED,
+                )
+                .unwrap();
                 let reference = one_shot(&app, leads.clone(), period);
                 let cell = format!("{} {}", benchmark.name(), variant.label());
                 assert_eq!(chunked.adc_overruns(), 0, "{cell}");
@@ -949,12 +1120,238 @@ mod tests {
                 // 50 kHz: every benchmark overruns within a few samples.
                 let (period, app) = (100, build(100));
                 let total = app.config.adc.start_cycle + leads[0].len() as u64 * period;
-                let (stopped, _) =
-                    run_window(&app, leads.clone(), period, false, Purpose::Search).unwrap();
+                let (stopped, _) = run_window(
+                    &app,
+                    leads.clone(),
+                    period,
+                    false,
+                    Purpose::Search,
+                    &UNCANCELLED,
+                )
+                .unwrap();
                 assert!(stopped.adc_overruns() > 0, "{cell}");
                 assert!(stopped.stats().cycles < total, "{cell}");
             }
         }
+    }
+
+    #[test]
+    fn a_cancelled_run_stops_at_its_first_sample_boundary() {
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            duration_s: 0.5,
+            ..ExperimentConfig::default()
+        };
+        let variant = RunVariant::MultiCoreSync;
+        let options = build_options(variant, &config, 8_000);
+        let app = build_app(BenchmarkId::Mf, variant.arch(), &options, &params).unwrap();
+        let leads = recording(&config, config.duration_s).leads;
+        let start = app.config.adc.start_cycle;
+        let (whole, _) = run_window(
+            &app,
+            leads.clone(),
+            8_000,
+            false,
+            Purpose::Measure,
+            &UNCANCELLED,
+        )
+        .unwrap();
+        assert_eq!(whole.stats().adc_samples, leads[0].len() as u64);
+        let cancel = AtomicBool::new(true);
+        let (cancelled, _) =
+            run_window(&app, leads, 8_000, false, Purpose::Measure, &cancel).unwrap();
+        assert!(
+            cancelled.stats().cycles <= start,
+            "{}",
+            cancelled.stats().cycles
+        );
+        assert!(cancelled.stats().adc_samples <= 1);
+    }
+
+    /// Steps 1 to 3 one after another, with no measurement run beside the
+    /// search: the reference the overlapped flow must reproduce.
+    fn serial(
+        benchmark: BenchmarkId,
+        variant: RunVariant,
+        config: &ExperimentConfig,
+        params: &ClassifierParams,
+        cache: &BuildCache,
+    ) -> Result<Measurement, MeasureError> {
+        let cell = Cell {
+            benchmark,
+            variant,
+            config,
+            params,
+            cache,
+        };
+        let calib = calibration_slice(config);
+        let full = recording(config, config.duration_s);
+        let passing = if calib.leads == full.leads {
+            Passing::Kept
+        } else {
+            Passing::Dropped
+        };
+        let searched = search(&cell, &calib, passing)?;
+        measure_window(&cell, &full, searched.required_hz, searched.first, 6)
+    }
+
+    /// Measures one cell with the overlapped flow and the serial
+    /// reference, each on its own cache, and requires the same outcome
+    /// and the same cache counters.
+    fn assert_overlap_changes_nothing(
+        benchmark: BenchmarkId,
+        variant: RunVariant,
+        config: &ExperimentConfig,
+        params: &ClassifierParams,
+    ) {
+        let label = format!(
+            "{} {} seed {} slice {} s",
+            benchmark.name(),
+            variant.label(),
+            config.seed,
+            config.calibration_s
+        );
+        let (cache, reference_cache) = (BuildCache::new(), BuildCache::new());
+        let overlapped = measure_cached(benchmark, variant, config, params, &cache);
+        let reference = serial(benchmark, variant, config, params, &reference_cache);
+        match (&overlapped, &reference) {
+            (Ok(m), Ok(r)) => {
+                assert_eq!(m.clock_hz.to_bits(), r.clock_hz.to_bits(), "{label}");
+                assert_eq!(m.op, r.op, "{label}");
+                assert_eq!(m.stats, r.stats, "{label}");
+                assert_eq!(m.obs, r.obs, "{label}");
+                let bits = |b: &PowerBreakdown| {
+                    [
+                        b.cores_and_logic_uw,
+                        b.prog_mem_uw,
+                        b.data_mem_uw,
+                        b.interconnect_uw,
+                        b.clock_tree_uw,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(bits(&m.breakdown), bits(&r.breakdown), "{label}");
+                assert_eq!(format!("{m:?}"), format!("{r:?}"), "{label}");
+            }
+            _ => assert_eq!(
+                format!("{overlapped:?}"),
+                format!("{reference:?}"),
+                "{label}"
+            ),
+        }
+        assert_eq!(cache.hits(), reference_cache.hits(), "{label}");
+        assert_eq!(cache.misses(), reference_cache.misses(), "{label}");
+    }
+
+    /// Every benchmark × variant of `seed` at 3 s / 2 s.
+    fn assert_overlap_changes_no_cell(seed: u64) {
+        let params = ClassifierParams::default_trained();
+        let config = ExperimentConfig {
+            seed,
+            ..quick_config()
+        };
+        let variants = [
+            RunVariant::SingleCore,
+            RunVariant::MultiCoreSync,
+            RunVariant::MultiCoreBusyWait,
+        ];
+        for benchmark in BenchmarkId::ALL {
+            for variant in variants {
+                assert_overlap_changes_nothing(benchmark, variant, &config, &params);
+            }
+        }
+    }
+
+    #[test]
+    fn overlapped_measurement_runs_change_no_result() {
+        assert_overlap_changes_no_cell(0xEC60);
+    }
+
+    #[test]
+    fn overlapped_measurement_runs_change_no_result_on_the_held_out_seed() {
+        assert_overlap_changes_no_cell(2014);
+    }
+
+    #[test]
+    fn step_3_climbs_from_a_kept_overlapped_run_that_overran() {
+        // No grid cell has been seen to keep an overlapped run that then
+        // overruns, so step 3 is handed one directly: RP-CLASS SC's
+        // window, two ×1.15 rungs below the clock it settles on.
+        let params = ClassifierParams::default_trained();
+        let config = quick_config();
+        let (benchmark, variant) = (BenchmarkId::RpClass, RunVariant::SingleCore);
+        let settled = measure(benchmark, variant, &config, &params).unwrap();
+        let start_hz = settled.clock_hz / 1.15 / 1.15;
+        let period = period_at(&config, start_hz);
+        let full = recording(&config, config.duration_s);
+        let (cache, reference_cache) = (BuildCache::new(), BuildCache::new());
+        let cell = |cache| Cell {
+            benchmark,
+            variant,
+            config: &config,
+            params: &params,
+            cache,
+        };
+        // Each flow looks the rung's image up once, as its search did.
+        let app = cell(&cache).build(period).unwrap();
+        cell(&reference_cache).build(period).unwrap();
+        let (kept, _) = run_window(
+            &app,
+            full.leads.clone(),
+            period,
+            config.forwarding,
+            Purpose::Measure,
+            &UNCANCELLED,
+        )
+        .unwrap();
+        assert!(kept.adc_overruns() > 0, "the kept run must overrun");
+        let first = Some(FirstAttempt::Overlapped(Ok(kept)));
+        let climbed = measure_window(&cell(&cache), &full, start_hz, first, 6).unwrap();
+        let reference = measure_window(&cell(&reference_cache), &full, start_hz, None, 6).unwrap();
+        assert!(climbed.clock_hz > start_hz);
+        assert_eq!(format!("{climbed:?}"), format!("{reference:?}"));
+        assert_eq!(cache.hits(), reference_cache.hits());
+        assert_eq!(cache.misses(), reference_cache.misses());
+    }
+
+    #[test]
+    fn durations_that_describe_no_recording_are_errors() {
+        let params = ClassifierParams::default_trained();
+        let bad = [0.0, -1.0, f64::NAN, f64::INFINITY];
+        let configs = bad
+            .iter()
+            .map(|&seconds| ExperimentConfig {
+                duration_s: seconds,
+                ..quick_config()
+            })
+            .chain(bad.iter().map(|&seconds| ExperimentConfig {
+                calibration_s: seconds,
+                ..quick_config()
+            }))
+            .chain([
+                ExperimentConfig {
+                    fs: 0,
+                    ..quick_config()
+                },
+                ExperimentConfig {
+                    pathological_fraction: f64::NAN,
+                    ..quick_config()
+                },
+                ExperimentConfig {
+                    pathological_fraction: 1.5,
+                    ..quick_config()
+                },
+            ]);
+        for config in configs {
+            match measure(BenchmarkId::Mf, RunVariant::SingleCore, &config, &params) {
+                Err(MeasureError::InvalidConfig(_)) => {}
+                other => panic!("{config:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        for text in ["0", "-1", "nan", "NaN", "inf", "-inf", "", "5s"] {
+            assert!(parse_duration(text).is_err(), "{text:?}");
+        }
+        assert_eq!(parse_duration("2.5"), Ok(2.5));
     }
 
     #[test]

@@ -46,3 +46,24 @@ fn results_bins_write_a_record_only_where_asked() {
     assert!(record.contains("\"grid_cells\": 2"), "{record}");
     assert!(!dir.join("BENCH_sweep.json").exists());
 }
+
+#[test]
+fn durations_that_describe_no_recording_exit_with_code_2() {
+    let dir = fresh_dir("results-bin-bad-duration");
+    for bad in ["0", "-1", "nan", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sensitivity"))
+            .current_dir(&dir)
+            .env("WBSN_DURATION_S", bad)
+            .env_remove("WBSN_SWEEP_JSON")
+            .output()
+            .expect("sensitivity starts");
+        assert_eq!(out.status.code(), Some(2), "WBSN_DURATION_S={bad}");
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .current_dir(&dir)
+            .args(["--duration", bad, "--json", ""])
+            .env_remove("WBSN_DURATION_S")
+            .output()
+            .expect("sweep starts");
+        assert_eq!(out.status.code(), Some(2), "--duration {bad}");
+    }
+}

@@ -73,10 +73,15 @@ impl DecodedInstr {
 /// Every address holds either the predecoded instruction or `None` for
 /// words that do not decode (uninitialized memory, data placed in the
 /// instruction space); fetching such a word is an error the simulator
-/// reports as a fault, exactly like the decode-per-cycle path.
+/// reports as a fault, exactly like the decode-per-cycle path. Only the
+/// image up to its last nonzero word is stored: every later address of
+/// the memory holds word 0.
 #[derive(Debug, Clone)]
 pub struct DecodedImage {
+    /// The image up to its last nonzero word.
     slots: Box<[Option<DecodedInstr>]>,
+    /// Word 0 predecoded: what every later address of the memory holds.
+    zero: Option<DecodedInstr>,
 }
 
 impl DecodedImage {
@@ -88,11 +93,14 @@ impl DecodedImage {
     /// must cover the whole memory, matching the simulator's geometry.
     pub fn from_words(words: &[u32]) -> DecodedImage {
         assert_eq!(words.len(), IM_WORDS, "image must cover the whole memory");
+        let predecode = |w: u32| Instr::decode(w).ok().map(DecodedInstr::new);
+        let used = words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1);
         DecodedImage {
-            slots: words
-                .iter()
-                .map(|&w| Instr::decode(w).ok().map(DecodedInstr::new))
-                .collect(),
+            slots: words[..used].iter().map(|&w| predecode(w)).collect(),
+            zero: predecode(0),
         }
     }
 
@@ -100,12 +108,22 @@ impl DecodedImage {
     /// is out of range or the word does not decode.
     #[inline]
     pub fn get(&self, addr: u32) -> Option<&DecodedInstr> {
-        self.slots.get(addr as usize).and_then(|s| s.as_ref())
+        match self.slots.get(addr as usize) {
+            Some(slot) => slot.as_ref(),
+            None if (addr as usize) < IM_WORDS => self.zero.as_ref(),
+            None => None,
+        }
     }
 
     /// Number of addresses holding a valid instruction.
     pub fn decoded_len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        let stored = self.slots.iter().filter(|s| s.is_some()).count();
+        let tail = if self.zero.is_some() {
+            IM_WORDS - self.slots.len()
+        } else {
+            0
+        };
+        stored + tail
     }
 }
 
@@ -164,6 +182,24 @@ mod tests {
         );
         assert!(image.get(2).is_none());
         assert!(image.get(IM_WORDS as u32).is_none(), "out of range");
+    }
+
+    #[test]
+    fn addresses_past_the_last_nonzero_word_hold_word_zero() {
+        for last in [None, Some(0), Some(5), Some(IM_WORDS - 1)] {
+            let mut words = vec![0u32; IM_WORDS];
+            if let Some(last) = last {
+                words[last] = Instr::add(Reg::R1, Reg::R2, Reg::R3).encode().unwrap();
+            }
+            let image = DecodedImage::from_words(&words);
+            for (addr, &word) in words.iter().enumerate() {
+                let expected = Instr::decode(word).ok();
+                assert_eq!(image.get(addr as u32).map(|d| d.instr), expected, "@{addr}");
+            }
+            assert_eq!(image.get(IM_WORDS as u32), None, "out of range");
+            let valid = words.iter().filter(|&&w| Instr::decode(w).is_ok()).count();
+            assert_eq!(image.decoded_len(), valid);
+        }
     }
 
     #[test]

@@ -118,6 +118,8 @@ struct StepScratch {
 pub struct Platform {
     config: PlatformConfig,
     atu: Atu,
+    /// The image's words, read only by the decode-per-cycle oracle.
+    #[cfg(any(test, feature = "slow-decode"))]
     im: InstrMemory,
     decoded: DecodedImage,
     dm: DataMemory,
@@ -193,6 +195,7 @@ impl Platform {
             config.sync_points,
             flat,
         );
+        #[cfg(any(test, feature = "slow-decode"))]
         let im = InstrMemory::from_image(image.im_words());
         let decoded = DecodedImage::from_words(image.im_words());
         let mut dm = DataMemory::new();
@@ -241,6 +244,7 @@ impl Platform {
         Ok(Platform {
             config,
             atu,
+            #[cfg(any(test, feature = "slow-decode"))]
             im,
             decoded,
             dm,
@@ -988,7 +992,6 @@ impl Platform {
                     addr: pc,
                     kind: FaultKind::BadInstruction,
                 }))?;
-                debug_assert!(self.im.fetch(pc).is_some());
                 self.obs.im_access(cycle, bank);
                 self.slots[idx].held = Some(instr);
             }
