@@ -22,7 +22,9 @@
 //!    measurement run starts beside its search run, on a second thread:
 //!    if the slice passes, that run is step 3's first attempt; if the
 //!    slice overruns or faults, it is cancelled at its next sample and
-//!    dropped.
+//!    dropped. The helper starts only while fewer threads simulate than
+//!    the host runs in parallel (sweep workers count too); otherwise the
+//!    rung runs serially, with the same result.
 //! 3. **Measure** — re-run the full observation window with the sampling
 //!    period implied by the chosen clock (the overlapped run, when the
 //!    search simulated its rung), verify no ADC overruns (else climb
@@ -41,8 +43,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use wbsn_dsp::ecg::{synthesize, EcgConfig, EcgRecording};
@@ -514,6 +517,45 @@ enum Purpose {
 /// The cancel flag of a run that nothing cancels.
 static UNCANCELLED: AtomicBool = AtomicBool::new(false);
 
+/// Threads simulating in this process: every caller inside
+/// [`measure_cached`] or [`measure_at_clock_cached`], and every helper
+/// running an overlapped measurement.
+static SIMULATING: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread's place in [`SIMULATING`], given back on drop.
+struct Simulating;
+
+impl Simulating {
+    /// Counts the calling thread.
+    fn enter() -> Simulating {
+        SIMULATING.fetch_add(1, Ordering::Relaxed);
+        Simulating
+    }
+
+    /// Counts a helper thread if fewer than `threads` threads simulate;
+    /// the compare-exchange reserves the place before the helper starts.
+    fn reserve(threads: usize) -> Option<Simulating> {
+        SIMULATING
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < threads).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Simulating)
+    }
+}
+
+impl Drop for Simulating {
+    fn drop(&mut self) {
+        SIMULATING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The threads the host runs in parallel.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// Simulates `leads` on `app` at ADC `period`. The tick trace is
 /// recorded for [`Purpose::Calibrate`] runs and left empty otherwise.
 /// Once `cancel` is set the run stops at its next sample boundary, and
@@ -667,8 +709,12 @@ enum Passing<'a> {
     /// the run carries the counting sink and is returned.
     Kept,
     /// It is thrown away: the window is this longer recording, and each
-    /// simulated rung's measurement over it runs beside the search run.
-    Overlapped(&'a EcgRecording),
+    /// simulated rung's measurement over it runs beside the search run
+    /// on a helper thread, while fewer than `threads` threads simulate.
+    Overlapped {
+        window: &'a EcgRecording,
+        threads: usize,
+    },
     /// It is thrown away, and nothing runs beside it.
     Dropped,
 }
@@ -767,8 +813,14 @@ fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searche
                 &UNCANCELLED,
             )
         };
-        let (searched, overlapped) = match passing {
-            Passing::Overlapped(window) => {
+        let helper = match passing {
+            Passing::Overlapped { window, threads } => {
+                Simulating::reserve(threads).map(|place| (window, place))
+            }
+            Passing::Kept | Passing::Dropped => None,
+        };
+        let (searched, overlapped) = match helper {
+            Some((window, _place)) => {
                 // The rung's measurement runs beside its search run, on
                 // the same image; it is cancelled unless the slice passes.
                 // The flag publishes no data (the join orders the run's
@@ -796,7 +848,9 @@ fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searche
                     (searched, passed.then_some(measured))
                 })
             }
-            Passing::Kept | Passing::Dropped => (slice(), None),
+            // No helper: the rung runs serially, and a passing slice
+            // leaves the measurement to step 3.
+            None => (slice(), None),
         };
         let (platform, _) = searched?;
         overruns = platform.adc_overruns();
@@ -834,6 +888,20 @@ pub fn measure_cached(
     params: &ClassifierParams,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
+    let _caller = Simulating::enter();
+    measure_helped(benchmark, variant, config, params, cache, host_threads())
+}
+
+/// [`measure_cached`], whose overlapped measurement runs start while
+/// fewer than `threads` threads simulate.
+fn measure_helped(
+    benchmark: BenchmarkId,
+    variant: RunVariant,
+    config: &ExperimentConfig,
+    params: &ClassifierParams,
+    cache: &BuildCache,
+    threads: usize,
+) -> Result<Measurement, MeasureError> {
     config.validate()?;
     let cell = Cell {
         benchmark,
@@ -852,7 +920,10 @@ pub fn measure_cached(
     let passing = if calib.leads == full.leads {
         Passing::Kept
     } else {
-        Passing::Overlapped(&full)
+        Passing::Overlapped {
+            window: &full,
+            threads,
+        }
     };
     let Searched {
         required_hz, first, ..
@@ -995,6 +1066,7 @@ pub fn measure_at_clock_cached(
     clock_hz: f64,
     cache: &BuildCache,
 ) -> Result<Measurement, MeasureError> {
+    let _caller = Simulating::enter();
     config.validate()?;
     let cell = Cell {
         benchmark,
@@ -1212,7 +1284,9 @@ mod tests {
             config.calibration_s
         );
         let (cache, reference_cache) = (BuildCache::new(), BuildCache::new());
-        let overlapped = measure_cached(benchmark, variant, config, params, &cache);
+        // Tests run in parallel, so the overlapped path is forced
+        // whatever the other threads simulate.
+        let overlapped = measure_helped(benchmark, variant, config, params, &cache, usize::MAX);
         let reference = serial(benchmark, variant, config, params, &reference_cache);
         match (&overlapped, &reference) {
             (Ok(m), Ok(r)) => {

@@ -1,5 +1,6 @@
 //! Platform configuration: geometry, interconnect and directives.
 
+use wbsn_core::MAX_CORES;
 use wbsn_isa::DM_WORDS;
 
 use crate::adc::AdcConfig;
@@ -39,7 +40,7 @@ pub enum InterconnectKind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlatformConfig {
-    /// Number of computing cores (1..=8).
+    /// Number of computing cores (1..=[`MAX_CORES`]).
     pub cores: usize,
     /// Interconnect flavour.
     pub interconnect: InterconnectKind,
@@ -100,7 +101,7 @@ impl PlatformConfig {
     ///
     /// Returns the first violated [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 || self.cores > 8 {
+        if self.cores == 0 || self.cores > MAX_CORES {
             return Err(ConfigError::BadCoreCount(self.cores));
         }
         if self.interconnect == InterconnectKind::Decoder && self.cores != 1 {

@@ -163,6 +163,11 @@ impl Core {
     ///
     /// Panics if `instr` is a load but `load_value` is `None` (the
     /// platform resolves memory before retiring).
+    ///
+    /// Always inlined: both cycle drivers retire through it, and as an
+    /// out-of-line call it costs the lone-core path about a tenth of its
+    /// time.
+    #[inline(always)]
     pub fn retire(&mut self, instr: Instr, load_value: Option<u16>) -> Retire {
         let next_pc = self.pc + 1;
         self.hazard = None;

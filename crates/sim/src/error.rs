@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use wbsn_core::SyncError;
+use wbsn_core::{SyncError, MAX_CORES};
 
 use crate::watchdog::PostMortem;
 
@@ -104,7 +104,7 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ConfigError::BadCoreCount(n) => write!(f, "core count {n} outside 1..=8"),
+            ConfigError::BadCoreCount(n) => write!(f, "core count {n} outside 1..={MAX_CORES}"),
             ConfigError::DecoderNeedsSingleCore(n) => {
                 write!(f, "decoder interconnect requires one core, got {n}")
             }

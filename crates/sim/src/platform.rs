@@ -1,7 +1,7 @@
 //! The platform: cores, memories, crossbars, ATU, synchronizer and ADC
 //! wired together by a cycle-accurate event loop.
 
-use wbsn_core::{CoreId, Synchronizer};
+use wbsn_core::{CoreId, Synchronizer, MAX_CORES};
 use wbsn_isa::{DecodedImage, DecodedInstr, Instr, LinkedImage, MemClass, IM_WORDS};
 use wbsn_obs::{Obs, ObsConfig, StallCause};
 
@@ -98,17 +98,24 @@ enum Resolved {
     Dm(DmAccess),
 }
 
-/// Per-cycle work buffers, reused across [`Platform::step`] calls so the
-/// hot loop performs no heap allocation once warmed up.
-#[derive(Debug, Default)]
-struct StepScratch {
-    fetch_reqs: Vec<Request>,
-    fetch_grants: Vec<Grant>,
-    ready: Vec<(usize, Load)>,
-    dm_reqs: Vec<Request>,
-    dm_meta: Vec<DmAccess>,
-    dm_grants: Vec<Grant>,
-}
+/// An unused entry of the N-slot driver's per-cycle request buffers.
+const NO_REQUEST: Request = Request {
+    core: 0,
+    bank: 0,
+    addr: 0,
+    write: false,
+};
+
+/// An unused entry of the N-slot driver's per-cycle access buffer.
+const NO_ACCESS: DmAccess = DmAccess {
+    core: 0,
+    location: DmLocation { bank: 0, row: 0 },
+    addr: 0,
+    store: None,
+};
+
+// The awake mask holds one bit per core.
+const _: () = assert!(MAX_CORES <= u8::BITS as usize);
 
 /// The simulated WBSN platform.
 ///
@@ -124,7 +131,6 @@ pub struct Platform {
     decoded: DecodedImage,
     dm: DataMemory,
     slots: Vec<Slot>,
-    scratch: StepScratch,
     /// Re-decode the binary word on every fetch instead of using the
     /// predecoded image — the differential oracle for the fast path.
     #[cfg(any(test, feature = "slow-decode"))]
@@ -249,7 +255,6 @@ impl Platform {
             decoded,
             dm,
             slots,
-            scratch: StepScratch::default(),
             #[cfg(any(test, feature = "slow-decode"))]
             slow_decode: false,
             synchronizer,
@@ -752,8 +757,8 @@ impl Platform {
     }
 
     /// One cycle of the stage pipeline for any number of awake slots:
-    /// their requests are gathered into the scratch buffers in slot
-    /// order, the crossbars arbitrate them, and each grant is applied in
+    /// their requests are gathered, in slot order, into buffers on the
+    /// stack, the crossbars arbitrate them, and each grant is applied in
     /// request order. A decoder serves only a lone core, whose single
     /// request [`arbitrate_into`] always grants.
     fn step_arbitrated(&mut self) -> Result<(), SimError> {
@@ -764,47 +769,52 @@ impl Platform {
         // so this snapshot holds for the gathering stages.
         let awake = self.awake;
 
-        self.scratch.fetch_reqs.clear();
+        let mut fetches = [NO_REQUEST; MAX_CORES];
+        let mut fetching = 0;
+        let mut lockstep = broadcast;
         for idx in bits(awake) {
             if let Issue::Fetch(pc) = self.issue(cycle, idx)? {
-                self.scratch.fetch_reqs.push(Request {
+                fetches[fetching] = Request {
                     core: idx,
                     bank: InstrMemory::bank_of(pc),
                     addr: pc,
                     write: false,
-                });
+                };
+                lockstep &= pc == fetches[0].addr;
+                fetching += 1;
             }
         }
-        let scratch = &mut self.scratch;
-        arbitrate_into(
-            &scratch.fetch_reqs,
-            cycle as usize,
-            broadcast,
-            &mut scratch.fetch_grants,
-        );
-        for i in 0..self.scratch.fetch_reqs.len() {
-            let req = self.scratch.fetch_reqs[i];
-            self.fetch(cycle, req.core, req.addr, self.scratch.fetch_grants[i])?;
+        let fetches = &fetches[..fetching];
+        if lockstep && fetching > 0 {
+            self.fetch_group(cycle, fetches)?;
+        } else {
+            self.fetch_arbitrated(cycle, fetches)?;
         }
 
-        self.scratch.ready.clear();
-        self.scratch.dm_reqs.clear();
-        self.scratch.dm_meta.clear();
+        let mut ready = [(0, None); MAX_CORES];
+        let mut readied = 0;
+        let mut dm_reqs = [NO_REQUEST; MAX_CORES];
+        let mut dm_meta = [NO_ACCESS; MAX_CORES];
+        let mut accessing = 0;
         for idx in bits(awake) {
             if self.slots[idx].held.is_none() {
                 continue;
             }
             match self.resolve(cycle, idx)? {
                 Resolved::Hazard => {}
-                Resolved::Ready(load) => self.scratch.ready.push((idx, load)),
+                Resolved::Ready(load) => {
+                    ready[readied] = (idx, load);
+                    readied += 1;
+                }
                 Resolved::Dm(access) => {
-                    self.scratch.dm_reqs.push(Request {
+                    dm_reqs[accessing] = Request {
                         core: idx,
                         bank: access.location.bank,
                         addr: access.addr,
                         write: access.store.is_some(),
-                    });
-                    self.scratch.dm_meta.push(access);
+                    };
+                    dm_meta[accessing] = access;
+                    accessing += 1;
                 }
             }
         }
@@ -814,25 +824,63 @@ impl Platform {
         // only if no write won — writes and reads of the same address
         // never both win in one cycle, so read-after-write hazards within
         // a cycle cannot occur.
-        let scratch = &mut self.scratch;
+        let mut dm_grants = [Grant::Stall; MAX_CORES];
         arbitrate_into(
-            &scratch.dm_reqs,
+            &dm_reqs[..accessing],
             cycle as usize,
             broadcast,
-            &mut scratch.dm_grants,
+            &mut dm_grants,
         );
-        for i in 0..self.scratch.dm_meta.len() {
-            let access = self.scratch.dm_meta[i];
-            if let Some(load) = self.dm_grant(cycle, access, self.scratch.dm_grants[i]) {
-                self.scratch.ready.push((access.core, load));
+        for (&access, &grant) in dm_meta[..accessing].iter().zip(&dm_grants) {
+            if let Some(load) = self.dm_grant(cycle, access, grant) {
+                ready[readied] = (access.core, load);
+                readied += 1;
             }
         }
 
-        for i in 0..self.scratch.ready.len() {
-            let (idx, load) = self.scratch.ready[i];
+        for &(idx, load) in &ready[..readied] {
             self.retire(cycle, idx, load)?;
         }
         self.commit(cycle)
+    }
+
+    /// Stage 3 for the fetch requests of one cycle: the instruction
+    /// crossbar arbitrates them and each grant is applied in request
+    /// order.
+    #[inline(always)]
+    fn fetch_arbitrated(&mut self, cycle: u64, fetches: &[Request]) -> Result<(), SimError> {
+        let mut grants = [Grant::Stall; MAX_CORES];
+        arbitrate_into(fetches, cycle as usize, self.config.broadcast, &mut grants);
+        for (req, &grant) in fetches.iter().zip(&grants) {
+            self.fetch(cycle, req.core, req.addr, grant)?;
+        }
+        Ok(())
+    }
+
+    /// Stage 3 for a lock-step group: every fetching slot requests the
+    /// same word with broadcast on. Arbitration gives the slot with the
+    /// highest rotating priority the access and the others the
+    /// broadcast, so the word is decoded once, one bank read and the
+    /// broadcasts are counted, and every slot holds the same
+    /// instruction. A word that does not decode takes the arbitrated
+    /// path, whose first request faults once its grant is counted.
+    #[inline(always)]
+    fn fetch_group(&mut self, cycle: u64, fetches: &[Request]) -> Result<(), SimError> {
+        let pc = fetches[0].addr;
+        let Some(instr) = self.fetch_decoded(pc) else {
+            return self.fetch_arbitrated(cycle, fetches);
+        };
+        let bank = fetches[0].bank;
+        self.stats.im.reads[bank] += 1;
+        self.stats.im.broadcasts += fetches.len() as u64 - 1;
+        if self.crossbar() {
+            self.stats.xbar_im += fetches.len() as u64;
+        }
+        for req in fetches {
+            self.obs.im_access(cycle, bank);
+            self.slots[req.core].held = Some(instr);
+        }
+        Ok(())
     }
 
     /// Stages 2–6 for the lone awake slot `idx`; `true` when an
@@ -1729,6 +1777,73 @@ mod tests {
             }
         }
         general_exit.clone()
+    }
+
+    /// A lock-step group that fetches a word that does not decode faults
+    /// on its lowest fetching slot, with the grants counted as the
+    /// arbitrated path counts them: the access when that slot wins the
+    /// rotation (after `lead` nops, at cycle `lead`), a broadcast
+    /// otherwise.
+    #[test]
+    fn lockstep_group_faults_on_an_undecodable_word_as_the_arbitrated_path() {
+        use crate::xbar::arbitrate;
+        let make = |lead: usize| {
+            let program = assemble_text(&("nop\n".repeat(lead) + "nop\nhalt\n")).unwrap();
+            let mut linker = Linker::new();
+            linker.add_section(Section::new("main", program));
+            for core in 2..5 {
+                linker.set_entry(core, "main");
+            }
+            let image = linker.link().unwrap();
+            let mut p = Platform::new(PlatformConfig::multi_core(), &image).unwrap();
+            // A 25-bit word never decodes.
+            let mut words = image.im_words().to_vec();
+            let pc = image.entry(2).unwrap() + lead as u32;
+            words[pc as usize] = 1 << 24;
+            p.decoded = DecodedImage::from_words(&words);
+            p.im = InstrMemory::from_image(&words);
+            for _ in 0..lead {
+                p.step_arbitrated().unwrap();
+            }
+            (p, pc)
+        };
+        let mut grants_seen = Vec::new();
+        for lead in 0..8 {
+            let (mut group, pc) = make(lead);
+            let grouped = group.step_arbitrated();
+
+            let (mut general, _) = make(lead);
+            let cycle = general.stats.cycles;
+            let fetches: Vec<Request> = bits(general.awake)
+                .map(|idx| match general.issue(cycle, idx).unwrap() {
+                    Issue::Fetch(pc) => Request {
+                        core: idx,
+                        bank: InstrMemory::bank_of(pc),
+                        addr: pc,
+                        write: false,
+                    },
+                    other => panic!("slot {idx} does not fetch: {other:?}"),
+                })
+                .collect();
+            let grants = arbitrate(&fetches, cycle as usize, true);
+            let arbitrated = fetches
+                .iter()
+                .zip(&grants)
+                .try_for_each(|(req, &grant)| general.fetch(cycle, req.core, req.addr, grant));
+
+            let fault = SimError::Fault(Fault {
+                core: 2,
+                pc,
+                addr: pc,
+                kind: FaultKind::BadInstruction,
+            });
+            assert_eq!(grouped, Err(fault.clone()), "lead {lead}");
+            assert_eq!(arbitrated, Err(fault), "lead {lead}");
+            assert_eq!(group.stats(), general.stats(), "lead {lead}");
+            grants_seen.push(grants[0]);
+        }
+        assert!(grants_seen.contains(&Grant::Access));
+        assert!(grants_seen.contains(&Grant::Broadcast));
     }
 
     /// Bursts of any length must stay instances of the pipeline: the

@@ -15,6 +15,8 @@
 //! lose and retry next cycle ([`Grant::Stall`]). A rotating priority
 //! pointer keeps the arbitration fair.
 
+use wbsn_core::MAX_CORES;
+
 /// One memory request submitted to a crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
@@ -63,29 +65,44 @@ pub enum Grant {
 /// assert_eq!(grants, vec![Grant::Access, Grant::Broadcast]);
 /// ```
 pub fn arbitrate(requests: &[Request], rotation: usize, broadcast: bool) -> Vec<Grant> {
-    let mut grants = Vec::new();
+    let mut grants = vec![Grant::Stall; requests.len()];
     arbitrate_into(requests, rotation, broadcast, &mut grants);
     grants
 }
 
-/// Allocation-free form of [`arbitrate`]: clears `grants` and fills it
-/// with one [`Grant`] per request, reusing the vector's capacity. The
-/// simulator's cycle loop calls this twice per cycle, so the grant
-/// buffer must not be reallocated each time.
+/// Allocation-free form of [`arbitrate`]: writes the [`Grant`] of
+/// `requests[i]` to `grants[i]`. The simulator's cycle loop calls this
+/// twice per cycle with buffers on its stack.
+///
+/// # Panics
+///
+/// Panics if `grants` is shorter than `requests`.
+#[inline]
 pub fn arbitrate_into(
     requests: &[Request],
     rotation: usize,
     broadcast: bool,
-    grants: &mut Vec<Grant>,
+    grants: &mut [Grant],
 ) {
-    grants.clear();
-    // A lone request can never conflict: grant it without scanning.
-    if requests.len() <= 1 {
-        grants.resize(requests.len(), Grant::Access);
+    let grants = &mut grants[..requests.len()];
+    // Requests on pairwise-distinct banks never conflict (a lone request
+    // included): grant them all without a per-bank scan.
+    let mut banks: u64 = 0;
+    let distinct = requests.iter().all(|r| {
+        debug_assert!(r.bank < 64, "bank index fits the arbitration mask");
+        let bit = 1 << r.bank;
+        let fresh = banks & bit == 0;
+        banks |= bit;
+        fresh
+    });
+    if distinct {
+        grants.fill(Grant::Access);
         return;
     }
+    let rot = rotation % MAX_CORES;
+    let priority = |r: &Request| (r.core + MAX_CORES - rot) % MAX_CORES;
     // Lockstep fast path: every request reads the same word (cores
-    // executing the same code in phase). One access, the rest broadcast.
+    // loading the same address in phase). One access, the rest broadcast.
     let first = requests[0];
     if broadcast
         && !first.write
@@ -93,40 +110,36 @@ pub fn arbitrate_into(
             .iter()
             .all(|r| r.bank == first.bank && r.addr == first.addr && !r.write)
     {
-        let rot = rotation % 8;
         let winner = requests
             .iter()
             .enumerate()
-            .min_by_key(|(_, r)| (r.core + 8 - rot) % 8)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        grants.resize(requests.len(), Grant::Broadcast);
+            .min_by_key(|(_, r)| priority(r))
+            .map_or(0, |(i, _)| i);
+        grants.fill(Grant::Broadcast);
         grants[winner] = Grant::Access;
         return;
     }
-    grants.resize(requests.len(), Grant::Stall);
-    // Few requests per cycle (≤ 8 cores): quadratic scans are cheaper
-    // than hashing. Banks fit in a u64 arbitration bitmask.
+    grants.fill(Grant::Stall);
+    // Few requests per cycle (at most one per core): quadratic scans are
+    // cheaper than hashing.
     let mut banks_done: u64 = 0;
     for i in 0..requests.len() {
         let bank = requests[i].bank;
-        debug_assert!(bank < 64, "bank index fits the arbitration mask");
         if banks_done & (1 << bank) != 0 {
             continue;
         }
         banks_done |= 1 << bank;
         // Pick the winning request for this bank: the member with the
         // highest rotating priority.
-        let rot = rotation % 8;
         let mut winner = i;
         let mut winner_priority = usize::MAX;
         for (j, r) in requests.iter().enumerate() {
             if r.bank != bank {
                 continue;
             }
-            let priority = (r.core + 8 - rot) % 8;
-            if priority < winner_priority {
-                winner_priority = priority;
+            let p = priority(r);
+            if p < winner_priority {
+                winner_priority = p;
                 winner = j;
             }
         }
@@ -230,5 +243,71 @@ mod tests {
     #[test]
     fn empty_request_list() {
         assert!(arbitrate(&[], 0, true).is_empty());
+    }
+
+    /// The arbitration rule stated per request: the request with the
+    /// highest rotating priority on its bank accesses it; a read of the
+    /// same address as a reading winner takes the broadcast when
+    /// broadcast is on; every other request stalls.
+    fn reference(requests: &[Request], rotation: usize, broadcast: bool) -> Vec<Grant> {
+        let priority = |r: &Request| (r.core + 8 - rotation % 8) % 8;
+        let mut grants = Vec::new();
+        for r in requests {
+            let mut w = r;
+            for other in requests {
+                if other.bank == r.bank && priority(other) < priority(w) {
+                    w = other;
+                }
+            }
+            grants.push(if w == r {
+                Grant::Access
+            } else if broadcast && !w.write && !r.write && r.addr == w.addr {
+                Grant::Broadcast
+            } else {
+                Grant::Stall
+            });
+        }
+        grants
+    }
+
+    /// Every request set of up to three requests from distinct cores in
+    /// any order, on two banks and two addresses, reads and writes, at
+    /// every rotation, with broadcast on and off: the fast paths
+    /// included, [`arbitrate`] grants what the reference rule grants.
+    #[test]
+    fn arbitration_matches_the_reference_on_every_small_request_set() {
+        // A request's bank, address and direction as three bits.
+        let shape = |core, bits: usize| req(core, bits & 1, (bits >> 1 & 1) as u32, bits & 4 != 0);
+        // The sets of one more request than the last round's.
+        let mut sets: Vec<Vec<Request>> = vec![Vec::new()];
+        let mut checked = 0;
+        for _ in 0..3 {
+            let mut longer = Vec::new();
+            for set in &sets {
+                for core in (0..8).filter(|c| set.iter().all(|r| r.core != *c)) {
+                    for bits in 0..8 {
+                        let mut next = set.clone();
+                        next.push(shape(core, bits));
+                        longer.push(next);
+                    }
+                }
+            }
+            sets = longer;
+            for set in &sets {
+                for rotation in 0..8 {
+                    for broadcast in [false, true] {
+                        assert_eq!(
+                            arbitrate(set, rotation, broadcast),
+                            reference(set, rotation, broadcast),
+                            "{set:?} rotation {rotation} broadcast {broadcast}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(arbitrate(&[], 3, true).is_empty());
+        // 8·8 + 56·64 + 336·512 request sets, 16 settings each.
+        assert_eq!(checked, (64 + 56 * 64 + 336 * 512) * 16);
     }
 }
