@@ -10,7 +10,13 @@
 //!    (clock-independent), plus a guard band, clamped to the 1 MHz
 //!    platform floor. Busy-wait cores spin between samples, so
 //!    their search starts from the platform's clock floor and no
-//!    calibration window is built or run.
+//!    calibration window is built or run. When the window is longer
+//!    than the slice, the measurement run at the floor (the one clock
+//!    known before calibrating, and where the clamp sends every MC
+//!    cell) starts beside calibration, on a second thread, on an image
+//!    built outside the build cache. If the seed's period is not the
+//!    floor's, that run is cancelled at its next sample and dropped;
+//!    otherwise it is rung 0's overlapped run (step 2).
 //! 2. **Search** — climb the clock in ×1.15 steps until the calibration
 //!    slice runs without ADC overruns, then pick the lowest voltage
 //!    whose interconnect-dependent `f_max` covers it. A rung that the
@@ -19,15 +25,18 @@
 //!    period, so the rung would replay the calibration trace tick for
 //!    tick. Only a search run that would be thrown away is skipped.
 //!    When the window is longer than the slice, each simulated rung's
-//!    measurement run starts beside its search run, on a second thread:
-//!    if the slice passes, that run is step 3's first attempt; if the
-//!    slice overruns or faults, it is cancelled at its next sample and
-//!    dropped. The helper starts only while fewer threads simulate than
-//!    the host runs in parallel (sweep workers count too); otherwise the
-//!    rung runs serially, with the same result.
+//!    measurement run starts beside its search run, on a second thread
+//!    (rung 0's may already run since step 1): if the slice passes, that
+//!    run is step 3's first attempt; if the slice overruns or faults, it
+//!    is cancelled at its next sample and dropped. A certified rung 0
+//!    keeps the floor run from step 1 as step 3's first attempt. A
+//!    helper starts only while fewer threads simulate than the host runs
+//!    in parallel (sweep workers count too), and gives its place back
+//!    when its thread ends; otherwise the rung runs serially, with the
+//!    same result.
 //! 3. **Measure** — re-run the full observation window with the sampling
-//!    period implied by the chosen clock (the overlapped run, when the
-//!    search simulated its rung), verify no ADC overruns (else climb
+//!    period implied by the chosen clock (the overlapped run, when steps
+//!    1–2 made one at that clock), verify no ADC overruns (else climb
 //!    again), and integrate the run into the Fig. 6 power decomposition.
 //!
 //! Only runs that can become the returned [`Measurement`] pay for the
@@ -37,9 +46,10 @@
 //! measurement run stops at its first ADC overrun, because an
 //! overrunning run is always thrown away. An overlapped run hands its
 //! result, fault included, to step 3 unread, and step 3 looks its image
-//! up in the cache as the serial attempt would, so the flow returns the
-//! same clock, µW figure, digest, error and cache counters as running
-//! the three steps one after another.
+//! up in the cache as the serial attempt would (the floor run's own
+//! image never enters the cache), so the flow returns the same clock, µW
+//! figure, digest, error and cache counters as running the three steps
+//! one after another.
 
 use std::error::Error;
 use std::fmt;
@@ -556,6 +566,41 @@ fn host_threads() -> usize {
     *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
+/// A measurement run over the full window on a helper thread, beside the
+/// caller's calibration or search run. Dropping it cancels the run at
+/// its next sample and waits for the thread.
+struct Helper {
+    /// The run's ADC period.
+    period: u64,
+    /// Stops the run. It publishes no data (the join orders the run's
+    /// result), so it is read and written `Relaxed`.
+    cancel: Arc<AtomicBool>,
+    thread: Option<thread::JoinHandle<Result<Platform, MeasureError>>>,
+}
+
+impl Helper {
+    /// Waits for the whole run.
+    fn join(mut self) -> Result<Platform, MeasureError> {
+        let thread = self.thread.take().expect("a helper is joined once");
+        thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            self.cancel.store(true, Ordering::Relaxed);
+            if let Err(panic) = thread.join() {
+                if !thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+}
+
 /// Simulates `leads` on `app` at ADC `period`. The tick trace is
 /// recorded for [`Purpose::Calibrate`] runs and left empty otherwise.
 /// Once `cancel` is set the run stops at its next sample boundary, and
@@ -709,8 +754,9 @@ enum Passing<'a> {
     /// the run carries the counting sink and is returned.
     Kept,
     /// It is thrown away: the window is this longer recording, and each
-    /// simulated rung's measurement over it runs beside the search run
-    /// on a helper thread, while fewer than `threads` threads simulate.
+    /// simulated rung's measurement over it (and the floor's, during
+    /// calibration) runs beside the caller's run on a helper thread,
+    /// while fewer than `threads` threads simulate.
     Overlapped {
         window: &'a EcgRecording,
         threads: usize,
@@ -719,21 +765,55 @@ enum Passing<'a> {
     Dropped,
 }
 
-/// A run that step 2 hands to step 3 as its first measurement attempt.
+impl Passing<'_> {
+    /// Starts a [`Helper`] measuring the window at ADC `period` on the
+    /// image `image` returns, when measurement runs overlap and fewer
+    /// than `threads` threads simulate. The helper's place among them is
+    /// given back when its thread ends.
+    fn helper(
+        self,
+        image: impl FnOnce() -> Result<Arc<BuiltApp>, BuildError> + Send + 'static,
+        period: u64,
+        forwarding: bool,
+    ) -> Option<Helper> {
+        let Passing::Overlapped { window, threads } = self else {
+            return None;
+        };
+        let place = Simulating::reserve(threads)?;
+        let cancel = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&cancel);
+        let leads = window.leads.clone();
+        let thread = thread::spawn(move || {
+            let _place = place;
+            let app = image()?;
+            let (platform, _) =
+                run_window(&app, leads, period, forwarding, Purpose::Measure, &flag)?;
+            Ok(platform)
+        });
+        Some(Helper {
+            period,
+            cancel,
+            thread: Some(thread),
+        })
+    }
+}
+
+/// A run that steps 1 and 2 hand to step 3 as its first measurement
+/// attempt.
 enum FirstAttempt {
     /// The passing search run, when the window is the slice.
     Kept(Arc<BuiltApp>, Platform),
-    /// The measurement run that ran beside the passing search run. Step
-    /// 3 reads its result only where the serial attempt would have run,
-    /// and looks its image up as that attempt would.
-    Overlapped(Result<Platform, SimError>),
+    /// The measurement run that ran beside calibration or the passing
+    /// search run. Step 3 reads its result only where the serial attempt
+    /// would have run, and looks its image up as that attempt would.
+    Overlapped(Result<Platform, MeasureError>),
 }
 
 /// Where steps 1 and 2 left a cell.
 struct Searched {
     /// The clock the search settled on.
     required_hz: f64,
-    /// Step 3's first attempt, when step 2 already ran it.
+    /// Step 3's first attempt, when steps 1–2 already ran it.
     first: Option<FirstAttempt>,
     /// The period of the rung that passed without being simulated.
     certified: Option<u64>,
@@ -750,9 +830,19 @@ fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searche
     // Busy-wait cores spin between samples, so their active cycles say
     // nothing about the clock requirement; those searches start from the
     // platform's clock floor without a calibration run.
-    let (mut required_hz, trace) = if cell.variant.approach() == SyncApproach::BusyWait {
-        (vfs.min_clock_hz, None)
+    let (mut required_hz, trace, floor) = if cell.variant.approach() == SyncApproach::BusyWait {
+        (vfs.min_clock_hz, None, None)
     } else {
+        // The floor is the one clock known before calibrating, so its
+        // measurement starts now. Its image is built outside the cache,
+        // which then sees the lookups of the serial flow.
+        let floor = {
+            let period = period_at(cell.config, vfs.min_clock_hz);
+            let (benchmark, arch) = (cell.benchmark, cell.variant.arch());
+            let (options, params) = (cell.options(period), cell.params.clone());
+            let image = move || build_app(benchmark, arch, &options, &params).map(Arc::new);
+            passing.helper(image, period, forwarding)
+        };
         let app = cell.build(CALIBRATION_PERIOD)?;
         let (platform, trace) = run_window(
             &app,
@@ -770,8 +860,11 @@ fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searche
             .map(|c| c.active_cycles as f64 / samples)
             .fold(0.0f64, f64::max);
         let seed = vfs.clamp_clock(avg_window * cell.config.fs as f64 * (1.0 + GUARD));
-        (seed, Some(trace))
+        (seed, Some(trace), floor)
     };
+    // The floor's run is rung 0's when the seed lies on the floor's
+    // period; otherwise dropping it cancels it.
+    let mut floor = floor.filter(|run| run.period == period_at(cell.config, required_hz));
 
     // 2. Feasibility search: the minimum clock is the lowest at which a
     // calibration slice shows no ADC overruns — the paper's "meeting
@@ -790,75 +883,45 @@ fn search(cell: &Cell, calib: &EcgRecording, passing: Passing) -> Result<Searche
             required_hz *= 1.15;
         }
         let period = period_at(cell.config, required_hz);
+        let helper = floor.take();
         // A rung the calibration trace certifies would only repeat the
         // calibration run's per-sample trace, so a run that would be
         // thrown away is skipped. A kept run is the measurement and
-        // still runs.
+        // still runs, and so does a measurement already running.
         let rung = benchmark_config(cell.variant.arch(), &cell.options(period));
         if !keep && trace.as_ref().is_some_and(|t| t.certifies(&rung)) {
             return Ok(Searched {
                 required_hz,
-                first: None,
+                first: helper.map(|run| FirstAttempt::Overlapped(run.join())),
                 certified: Some(period),
             });
         }
         let app = cell.build(period)?;
-        let slice = || {
-            run_window(
-                &app,
-                calib.leads.clone(),
-                period,
-                forwarding,
-                purpose,
-                &UNCANCELLED,
-            )
-        };
-        let helper = match passing {
-            Passing::Overlapped { window, threads } => {
-                Simulating::reserve(threads).map(|place| (window, place))
-            }
-            Passing::Kept | Passing::Dropped => None,
-        };
-        let (searched, overlapped) = match helper {
-            Some((window, _place)) => {
-                // The rung's measurement runs beside its search run, on
-                // the same image; it is cancelled unless the slice passes.
-                // The flag publishes no data (the join orders the run's
-                // result), so it is read and written `Relaxed`.
-                let cancel = AtomicBool::new(false);
-                thread::scope(|scope| {
-                    let measure = scope.spawn(|| {
-                        run_window(
-                            &app,
-                            window.leads.clone(),
-                            period,
-                            forwarding,
-                            Purpose::Measure,
-                            &cancel,
-                        )
-                    });
-                    let searched = slice();
-                    let passed = matches!(&searched, Ok((p, _)) if p.adc_overruns() == 0);
-                    if !passed {
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                    let measured = measure
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                    (searched, passed.then_some(measured))
-                })
-            }
-            // No helper: the rung runs serially, and a passing slice
-            // leaves the measurement to step 3.
-            None => (slice(), None),
-        };
+        // The rung's measurement runs beside its search run, on the same
+        // image, unless the floor's already does.
+        let helper = helper.or_else(|| {
+            let image = Arc::clone(&app);
+            passing.helper(move || Ok(image), period, forwarding)
+        });
+        let searched = run_window(
+            &app,
+            calib.leads.clone(),
+            period,
+            forwarding,
+            purpose,
+            &UNCANCELLED,
+        );
+        let passed = matches!(&searched, Ok((p, _)) if p.adc_overruns() == 0);
+        // Unless the slice passes, dropping the helper cancels its run;
+        // without one, a passing slice leaves the measurement to step 3.
+        let overlapped = helper.filter(|_| passed).map(Helper::join);
         let (platform, _) = searched?;
         overruns = platform.adc_overruns();
         if overruns == 0 {
             let first = if keep {
                 Some(FirstAttempt::Kept(app, platform))
             } else {
-                overlapped.map(|run| FirstAttempt::Overlapped(run.map(|(platform, _)| platform)))
+                overlapped.map(FirstAttempt::Overlapped)
             };
             return Ok(Searched {
                 required_hz,
@@ -935,7 +998,7 @@ fn measure_helped(
 
 /// Step 3: measurement runs over `full` from `required_hz`, bumping the
 /// clock on residual overruns, for at most `attempts` runs. `first`, a
-/// run over the same window at `required_hz` that step 2 already made,
+/// run over the same window at `required_hz` that steps 1–2 already made,
 /// is the first attempt, and is climbed from like any other when it
 /// overran.
 fn measure_window(
@@ -1267,9 +1330,9 @@ mod tests {
         measure_window(&cell, &full, searched.required_hz, searched.first, 6)
     }
 
-    /// Measures one cell with the overlapped flow and the serial
-    /// reference, each on its own cache, and requires the same outcome
-    /// and the same cache counters.
+    /// Measures one cell with the flow, every helper admitted and none,
+    /// and with the serial reference, each on its own cache, and requires
+    /// the same outcome and the same cache counters.
     fn assert_overlap_changes_nothing(
         benchmark: BenchmarkId,
         variant: RunVariant,
@@ -1283,38 +1346,39 @@ mod tests {
             config.seed,
             config.calibration_s
         );
-        let (cache, reference_cache) = (BuildCache::new(), BuildCache::new());
-        // Tests run in parallel, so the overlapped path is forced
-        // whatever the other threads simulate.
-        let overlapped = measure_helped(benchmark, variant, config, params, &cache, usize::MAX);
+        let reference_cache = BuildCache::new();
         let reference = serial(benchmark, variant, config, params, &reference_cache);
-        match (&overlapped, &reference) {
-            (Ok(m), Ok(r)) => {
-                assert_eq!(m.clock_hz.to_bits(), r.clock_hz.to_bits(), "{label}");
-                assert_eq!(m.op, r.op, "{label}");
-                assert_eq!(m.stats, r.stats, "{label}");
-                assert_eq!(m.obs, r.obs, "{label}");
-                let bits = |b: &PowerBreakdown| {
-                    [
-                        b.cores_and_logic_uw,
-                        b.prog_mem_uw,
-                        b.data_mem_uw,
-                        b.interconnect_uw,
-                        b.clock_tree_uw,
-                    ]
-                    .map(f64::to_bits)
-                };
-                assert_eq!(bits(&m.breakdown), bits(&r.breakdown), "{label}");
-                assert_eq!(format!("{m:?}"), format!("{r:?}"), "{label}");
+        // Tests run in parallel, so each path is forced whatever the
+        // other threads simulate: without a limit every helper starts,
+        // and with a limit of 0 (sweep workers filling the host) none do.
+        for threads in [usize::MAX, 0] {
+            let label = format!("{label} helper limit {threads}");
+            let cache = BuildCache::new();
+            let helped = measure_helped(benchmark, variant, config, params, &cache, threads);
+            match (&helped, &reference) {
+                (Ok(m), Ok(r)) => {
+                    assert_eq!(m.clock_hz.to_bits(), r.clock_hz.to_bits(), "{label}");
+                    assert_eq!(m.op, r.op, "{label}");
+                    assert_eq!(m.stats, r.stats, "{label}");
+                    assert_eq!(m.obs, r.obs, "{label}");
+                    let bits = |b: &PowerBreakdown| {
+                        [
+                            b.cores_and_logic_uw,
+                            b.prog_mem_uw,
+                            b.data_mem_uw,
+                            b.interconnect_uw,
+                            b.clock_tree_uw,
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(bits(&m.breakdown), bits(&r.breakdown), "{label}");
+                    assert_eq!(format!("{m:?}"), format!("{r:?}"), "{label}");
+                }
+                _ => assert_eq!(format!("{helped:?}"), format!("{reference:?}"), "{label}"),
             }
-            _ => assert_eq!(
-                format!("{overlapped:?}"),
-                format!("{reference:?}"),
-                "{label}"
-            ),
+            assert_eq!(cache.hits(), reference_cache.hits(), "{label}");
+            assert_eq!(cache.misses(), reference_cache.misses(), "{label}");
         }
-        assert_eq!(cache.hits(), reference_cache.hits(), "{label}");
-        assert_eq!(cache.misses(), reference_cache.misses(), "{label}");
     }
 
     /// Every benchmark × variant of `seed` at 3 s / 2 s.
@@ -1344,6 +1408,56 @@ mod tests {
     #[test]
     fn overlapped_measurement_runs_change_no_result_on_the_held_out_seed() {
         assert_overlap_changes_no_cell(2014);
+    }
+
+    #[test]
+    fn the_floor_run_beside_calibration_is_kept_only_on_the_floor() {
+        // MF MC's seed is clamped to the floor and its rung 0 certified:
+        // the floor run that overlapped calibration is step 3's first
+        // attempt. MF SC's seed lies above the floor, so that run is
+        // cancelled, and the rung it passes at is certified with nothing
+        // beside it.
+        let params = ClassifierParams::default_trained();
+        for seed in [0xEC60, 2014] {
+            let config = ExperimentConfig {
+                seed,
+                ..quick_config()
+            };
+            let calib = calibration_slice(&config);
+            let full = recording(&config, config.duration_s);
+            let passing = Passing::Overlapped {
+                window: &full,
+                threads: usize::MAX,
+            };
+            let floor = period_at(&config, VfsTable::ninety_nm_low_leakage().min_clock_hz);
+            for (variant, kept) in [
+                (RunVariant::MultiCoreSync, true),
+                (RunVariant::SingleCore, false),
+            ] {
+                let cell = Cell {
+                    benchmark: BenchmarkId::Mf,
+                    variant,
+                    config: &config,
+                    params: &params,
+                    cache: &BuildCache::new(),
+                };
+                let searched = search(&cell, &calib, passing).unwrap();
+                let label = format!("MF {} seed {seed}", variant.label());
+                // Both cells' passing rung is certified.
+                assert_eq!(
+                    searched.certified.map(|period| period == floor),
+                    Some(kept),
+                    "{label}"
+                );
+                match searched.first {
+                    Some(FirstAttempt::Overlapped(Ok(platform))) if kept => {
+                        assert_eq!(platform.adc_overruns(), 0, "{label}");
+                    }
+                    None if !kept => {}
+                    _ => panic!("{label}: unexpected first attempt"),
+                }
+            }
+        }
     }
 
     #[test]

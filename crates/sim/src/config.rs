@@ -110,19 +110,18 @@ impl PlatformConfig {
         if self.shared_words > MMIO_BASE {
             return Err(ConfigError::SharedTooLarge(self.shared_words));
         }
-        if self.shared_words > 0 || self.cores > 1 {
-            // With an ATU present, the sync region must live in shared
-            // memory so every core can observe the points.
-            let end = self.sync_base as usize + self.sync_points;
-            if self.cores > 1 && end > self.shared_words as usize {
-                return Err(ConfigError::SyncRegionOutsideShared {
-                    base: self.sync_base,
-                    points: self.sync_points,
-                    shared: self.shared_words,
-                });
-            }
+        // A region whose end overflows lies past any memory.
+        let end = (self.sync_base as usize).checked_add(self.sync_points);
+        // With an ATU present, the sync region must live in shared memory
+        // so every core can observe the points.
+        if self.cores > 1 && end.is_none_or(|end| end > self.shared_words as usize) {
+            return Err(ConfigError::SyncRegionOutsideShared {
+                base: self.sync_base,
+                points: self.sync_points,
+                shared: self.shared_words,
+            });
         }
-        if self.sync_base as usize + self.sync_points > DM_WORDS {
+        if end.is_none_or(|end| end > DM_WORDS) {
             return Err(ConfigError::SharedTooLarge(self.sync_base));
         }
         if self.adc.channels > MAX_ADC_CHANNELS {
@@ -169,6 +168,19 @@ mod tests {
             c.validate(),
             Err(ConfigError::SyncRegionOutsideShared { .. })
         ));
+    }
+
+    #[test]
+    fn sync_regions_whose_end_overflows_are_rejected() {
+        let mut mc = PlatformConfig::multi_core();
+        (mc.sync_base, mc.sync_points) = (1, usize::MAX);
+        assert!(matches!(
+            mc.validate(),
+            Err(ConfigError::SyncRegionOutsideShared { .. })
+        ));
+        let mut sc = PlatformConfig::single_core();
+        (sc.sync_base, sc.sync_points) = (1, usize::MAX);
+        assert_eq!(sc.validate(), Err(ConfigError::SharedTooLarge(1)));
     }
 
     #[test]

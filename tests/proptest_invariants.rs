@@ -1,12 +1,13 @@
 //! Cross-crate property tests on the core invariants of the
-//! synchronization mechanism, the address translation unit and the
-//! crossbar arbitration.
+//! synchronization mechanism, the address translation unit, the
+//! crossbar arbitration and platform construction.
 
 use proptest::prelude::*;
 use wbsn::core::{CoreId, CoreSet, SyncPointValue};
-use wbsn::isa::SyncKind;
+use wbsn::isa::{assemble_text, Linker, Section, SyncKind};
 use wbsn::sim::atu::{Atu, DmTarget};
 use wbsn::sim::xbar::{arbitrate, Grant, Request};
+use wbsn::sim::{AdcConfig, InterconnectKind, Platform, PlatformConfig};
 
 fn any_core() -> impl Strategy<Value = CoreId> {
     (0usize..8).prop_map(|i| CoreId::new(i).expect("index in range"))
@@ -18,6 +19,20 @@ fn any_kind() -> impl Strategy<Value = SyncKind> {
         Just(SyncKind::Dec),
         Just(SyncKind::Nop)
     ]
+}
+
+/// Whole-domain values, with small ones and the maximum drawn often
+/// enough that validation reaches every check.
+fn edge_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), 0u32..0x8100, Just(u32::MAX)]
+}
+
+fn edge_usize() -> impl Strategy<Value = usize> {
+    prop_oneof![any::<usize>(), 0usize..64, Just(usize::MAX)]
+}
+
+fn edge_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..10_000, Just(u64::MAX)]
 }
 
 proptest! {
@@ -155,5 +170,45 @@ proptest! {
             }
         }
         prop_assert_eq!(winners, cores);
+    }
+
+    /// Any configuration yields a platform or an error from
+    /// `Platform::new`, never a panic.
+    #[test]
+    fn platform_new_never_panics_on_any_config(
+        cores in 0usize..=16,
+        crossbar in any::<bool>(),
+        broadcast in any::<bool>(),
+        forwarding in any::<bool>(),
+        shared_words in edge_u32(),
+        sync_points in edge_usize(),
+        sync_base in edge_u32(),
+        channels in edge_usize(),
+        period_cycles in edge_u64(),
+        start_cycle in edge_u64(),
+    ) {
+        let mut linker = Linker::new();
+        linker.add_section(Section::new("main", assemble_text("sleep\nhalt\n").expect("assembles")));
+        linker.set_entry(0, "main");
+        let image = linker.link().expect("links");
+        let config = PlatformConfig {
+            cores,
+            interconnect: if crossbar {
+                InterconnectKind::Crossbar
+            } else {
+                InterconnectKind::Decoder
+            },
+            broadcast,
+            shared_words,
+            forwarding,
+            sync_points,
+            sync_base,
+            adc: AdcConfig {
+                channels,
+                period_cycles,
+                start_cycle,
+            },
+        };
+        let _ = Platform::new(config, &image);
     }
 }
